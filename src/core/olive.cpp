@@ -97,7 +97,7 @@ void OliveEmbedder::index_add(workload::RequestId id, Active& a) {
   for (std::size_t i = 0; i < a.usage.size(); ++i) {
     auto& bucket = elem_actives_[a.usage[i].first];
     a.elem_pos[i] = static_cast<int>(bucket.size());
-    bucket.push_back(id);
+    bucket.push_back({a.demand, a.order, id});
   }
 }
 
@@ -105,9 +105,9 @@ void OliveEmbedder::index_remove(workload::RequestId id, Active& a) {
   for (std::size_t i = 0; i < a.usage.size(); ++i) {
     auto& bucket = elem_actives_[a.usage[i].first];
     const int pos = a.elem_pos[i];
-    OLIVE_ASSERT(bucket.at(pos) == id);
-    const workload::RequestId moved = bucket.back();
-    bucket[pos] = moved;
+    OLIVE_ASSERT(bucket.at(pos).id == id);
+    const workload::RequestId moved = bucket.back().id;
+    bucket[pos] = bucket.back();
     bucket.pop_back();
     if (moved != id) {
       // Backpatch the moved allocation's recorded position for this element
@@ -167,21 +167,77 @@ std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
   }
   if (deficit_.empty()) return std::vector<workload::RequestId>{};
 
-  // Candidate victims: non-planned active allocations that touch a
-  // deficient element, smallest demand first (the paper does not fix a
-  // victim order; preferring small victims minimizes the service lost per
-  // preemption), ties broken newest-first.  (demand, order) is a strict
-  // total order over distinct allocations (orders are unique), so the
-  // sorted sequence is the same whether the set was gathered by the full
-  // scan below or by the per-element reverse index.
-  candidates_.clear();
-  if (indexing()) {
+  // Victim scan.  Candidates are the non-planned active allocations that
+  // touch a deficient element, offered smallest demand first (the paper
+  // does not fix a victim order; preferring small victims minimizes the
+  // service lost per preemption), ties broken newest-first.  A candidate
+  // that touches no still-deficient element is passed over.  Churn guard:
+  // preempting more demand than the planned request serves would shrink
+  // net service — in that case leave the borrowers alone and let the
+  // request take the greedy/reject path instead.  (The paper fixes neither
+  // victim order nor this trade-off; see DESIGN.md.)
+  enum class Scan { More, Covered, Churn };
+  const double cap = demand * (1 + 1e-9);
+  std::vector<workload::RequestId> victims;
+  double victim_demand = 0;
+  const auto offer = [&](workload::RequestId id, const Active& a) {
+    bool helps = false;
     for (const auto& [elem, need] : deficit_) {
-      (void)need;
-      for (const workload::RequestId id : elem_actives_[elem])
-        candidates_.emplace_back(id, &active_.at(id));
+      if (need <= 1e-9) continue;
+      for (const auto& [ue, amt] : a.usage) {
+        if (ue == elem) {
+          helps = true;
+          break;
+        }
+      }
+      if (helps) break;
+    }
+    if (!helps) return Scan::More;
+    victim_demand += a.demand;
+    if (victim_demand > cap) return Scan::Churn;
+    victims.push_back(id);
+    for (auto& [elem, need] : deficit_) {
+      for (const auto& [ue, amt] : a.usage)
+        if (ue == elem) need -= amt * a.demand;
+    }
+    const bool covered = std::all_of(
+        deficit_.begin(), deficit_.end(),
+        [](const auto& d) { return d.second <= 1e-9; });
+    return covered ? Scan::Covered : Scan::More;
+  };
+
+  Scan scan = Scan::More;
+  if (indexing()) {
+    // Fast path (docs/olive-fastpath.md §2): gather the index entries of
+    // the deficient elements, dropping any candidate whose own demand is
+    // over the churn cap — one that helps would trip the guard whatever
+    // came before it, and every later candidate is at least as large, so
+    // the scan ends in nullopt exactly as if the candidates ran out.  The
+    // rest pop lazily from a heap in the same strict total order a full
+    // sort gives; an allocation listed under several deficient elements
+    // pops its copies back to back, and all but the first are skipped.
+    victim_heap_.clear();
+    for (const auto& d : deficit_)
+      for (const IndexEntry& e : elem_actives_[d.first])
+        if (e.demand <= cap) victim_heap_.push_back(e);
+    const auto later = [](const IndexEntry& x, const IndexEntry& y) {
+      if (x.demand != y.demand) return x.demand > y.demand;
+      return x.order < y.order;
+    };
+    std::make_heap(victim_heap_.begin(), victim_heap_.end(), later);
+    std::int64_t last_order = -1;  // orders are unique and non-negative
+    while (scan == Scan::More && !victim_heap_.empty()) {
+      std::pop_heap(victim_heap_.begin(), victim_heap_.end(), later);
+      const IndexEntry e = victim_heap_.back();
+      victim_heap_.pop_back();
+      if (e.order == last_order) continue;
+      last_order = e.order;
+      scan = offer(e.id, active_.at(e.id));
     }
   } else {
+    // Specification: scan the whole active set, sort by (demand, order) —
+    // a strict total order over distinct allocations, since orders are
+    // unique — and offer every candidate in turn.
     const auto touches_deficit = [&](const Active& a) {
       for (const auto& [elem, need] : deficit_) {
         if (need <= 0) continue;
@@ -192,67 +248,33 @@ std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
       }
       return false;
     };
+    candidates_.clear();
     for (const auto& [id, a] : active_)
       if (!a.planned && touches_deficit(a)) candidates_.emplace_back(id, &a);
+    std::sort(candidates_.begin(), candidates_.end(),
+              [](const auto& x, const auto& y) {
+                if (x.second->demand != y.second->demand)
+                  return x.second->demand < y.second->demand;
+                return x.second->order > y.second->order;
+              });
+    for (const auto& [id, a] : candidates_) {
+      scan = offer(id, *a);
+      if (scan != Scan::More) break;
+    }
   }
-  std::sort(candidates_.begin(), candidates_.end(),
-            [](const auto& x, const auto& y) {
-              if (x.second->demand != y.second->demand)
-                return x.second->demand < y.second->demand;
-              return x.second->order > y.second->order;
-            });
-  // The index path lists an allocation once per deficient element it
-  // touches; equal entries end up adjacent after the sort.
-  candidates_.erase(
-      std::unique(candidates_.begin(), candidates_.end(),
-                  [](const auto& x, const auto& y) {
-                    return x.first == y.first;
-                  }),
-      candidates_.end());
+  // Churn, or even full preemption would not make room.
+  if (scan != Scan::Covered) return std::nullopt;
 
-  std::vector<workload::RequestId> victims;
-  double victim_demand = 0;
-  for (const auto& [id, a] : candidates_) {
-    bool helps = false;
-    for (auto& [elem, need] : deficit_) {
-      if (need <= 1e-9) continue;
-      for (const auto& [ue, amt] : a->usage) {
-        if (ue == elem) {
-          helps = true;
-          break;
-        }
-      }
-      if (helps) break;
-    }
-    if (!helps) continue;
-    // Churn guard: preempting more demand than the planned request serves
-    // would shrink net service — in that case leave the borrowers alone and
-    // let the request take the greedy/reject path instead.  (The paper
-    // fixes neither victim order nor this trade-off; see DESIGN.md.)
-    victim_demand += a->demand;
-    if (victim_demand > demand * (1 + 1e-9)) return std::nullopt;
-    victims.push_back(id);
-    for (auto& [elem, need] : deficit_) {
-      for (const auto& [ue, amt] : a->usage)
-        if (ue == elem) need -= amt * a->demand;
-    }
-    const bool covered = std::all_of(
-        deficit_.begin(), deficit_.end(),
-        [](const auto& d) { return d.second <= 1e-9; });
-    if (covered) {
-      // Commit: release the victims' resources and drop them.  release()
-      // bumps the grow-epoch, which invalidates the greedy memos and any
-      // in-flight speculative batch.
-      for (const workload::RequestId vid : victims) {
-        Active& victim = active_.at(vid);
-        load_.release(victim.usage, victim.demand);
-        if (indexing()) index_remove(vid, victim);
-        active_.erase(vid);
-      }
-      return victims;
-    }
+  // Commit: release the victims' resources and drop them.  release() bumps
+  // the grow-epoch, which invalidates the greedy memos and any in-flight
+  // speculative batch.
+  for (const workload::RequestId vid : victims) {
+    Active& victim = active_.at(vid);
+    load_.release(victim.usage, victim.demand);
+    if (indexing()) index_remove(vid, victim);
+    active_.erase(vid);
   }
-  return std::nullopt;  // even full preemption would not make room
+  return victims;
 }
 
 void OliveEmbedder::hint_arrivals(const workload::Request* batch,
@@ -578,7 +600,7 @@ struct OliveEmbedder::Snapshot {
   Plan plan;
   std::vector<std::vector<double>> plan_used;
   std::unordered_map<workload::RequestId, Active> active;
-  int admission_counter = 0;
+  std::int64_t admission_counter = 0;
   std::unordered_map<long long, GreedyMemo> greedy_memo;
   FastPathStats stats;
 };
@@ -606,7 +628,7 @@ bool OliveEmbedder::restore(const WorldState& w) {
   rebuild_class_max();
   // Rebuild the preempt candidate index in ascending id order — a fixed
   // order so two restores of the same snapshot produce byte-identical
-  // bucket layouts (the preempt victim sort is order-insensitive anyway,
+  // bucket layouts (the victim heap pops in key order whatever the layout,
   // but determinism should not rest on unordered_map iteration).
   elem_actives_.assign(substrate_.element_count(), {});
   if (indexing()) {

@@ -19,8 +19,11 @@
 // provably bit-identical shortcuts —
 //   * a per-class running maximum of plan residuals skips whole PLANEMBED
 //     stages when no column can pass its residual gate;
-//   * a per-element reverse index of non-planned allocations replaces the
-//     full active-set scan inside preempt();
+//   * a per-element reverse index of non-planned allocations, carrying each
+//     victim's sort key inline, replaces the full active-set scan inside
+//     preempt(); candidates above the churn cap are dropped at the gather
+//     and the rest pop lazily from a heap, so preempt() pays for the
+//     victims it reads, not for every borrower it could read;
 //   * GREEDYEMBED results are memoized per class and revalidated against
 //     the LoadTracker grow-epoch plus an element-wise residual check;
 //   * hint_arrivals() speculatively evaluates a whole slot's arrivals in
@@ -127,7 +130,16 @@ class OliveEmbedder final : public OnlineEmbedder {
     double demand = 0;
     bool planned = false;
     int cls = -1, column = -1;  // plan bookkeeping for planned allocations
-    int order = 0;              // admission order, newest preempted first
+    std::int64_t order = 0;     // admission order, newest preempted first
+  };
+
+  /// One preempt-index entry: the allocation's victim-order key (demand
+  /// ascending, order descending) inline, so gathering candidates never
+  /// looks the allocation up in active_.
+  struct IndexEntry {
+    double demand = 0;
+    std::int64_t order = 0;
+    workload::RequestId id = -1;
   };
 
   /// Memoized GREEDYEMBED answer for one (app, ingress) class.  Valid for a
@@ -178,9 +190,10 @@ class OliveEmbedder final : public OnlineEmbedder {
   EmbedOutcome embed_serial(const workload::Request& r);
 
   /// Frees non-planned allocations overlapping the deficient elements until
-  /// `usage`*demand fits, newest victims first.  Returns the preempted ids,
-  /// or nullopt (and changes nothing) if even preempting every non-planned
-  /// allocation would not make room.
+  /// `usage`*demand fits, smallest victims first (newest first among equal
+  /// demands).  Returns the preempted ids, or nullopt (and changes nothing)
+  /// if that would take more than `demand` of victims or even preempting
+  /// every candidate would not make room.
   std::optional<std::vector<workload::RequestId>> preempt(const Usage& usage,
                                                           double demand);
 
@@ -208,7 +221,7 @@ class OliveEmbedder final : public OnlineEmbedder {
   LoadTracker load_;
   std::vector<std::vector<double>> plan_used_;  // [class][column] demand
   std::unordered_map<workload::RequestId, Active> active_;
-  int admission_counter_ = 0;
+  std::int64_t admission_counter_ = 0;
 
   /// Dijkstra weights of GREEDYEMBED — pure function of the substrate,
   /// hoisted out of the per-request loop.
@@ -216,10 +229,10 @@ class OliveEmbedder final : public OnlineEmbedder {
   /// max_k plan_residual(cls, k), kept exact on every plan_used_ change —
   /// lets embed() skip whole PLANEMBED stages without touching a column.
   std::vector<double> class_max_;
-  /// elem_actives_[element] = ids of *non-planned* actives whose usage
+  /// elem_actives_[element] = the *non-planned* actives whose usage
   /// touches that element (the preempt candidate set), with O(1)
   /// swap-remove via Active::elem_pos.
-  std::vector<std::vector<workload::RequestId>> elem_actives_;
+  std::vector<std::vector<IndexEntry>> elem_actives_;
   std::unordered_map<long long, GreedyMemo> greedy_memo_;
 
   std::vector<SpecDecision> spec_;
@@ -232,6 +245,7 @@ class OliveEmbedder final : public OnlineEmbedder {
   // preempt() scratch (reused across calls, cleared on entry)
   std::vector<std::pair<int, double>> deficit_;
   std::vector<std::pair<workload::RequestId, const Active*>> candidates_;
+  std::vector<IndexEntry> victim_heap_;
 };
 
 }  // namespace olive::core

@@ -6,6 +6,10 @@
 // plan hot-swaps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/aggregation.hpp"
@@ -13,6 +17,8 @@
 #include "core/plan_solver.hpp"
 #include "core/scenario.hpp"
 #include "engine/engine.hpp"
+#include "engine/replan.hpp"
+#include "util/rng.hpp"
 #include "workload/request.hpp"
 
 namespace olive::core {
@@ -185,6 +191,176 @@ TEST(PreemptIndex, MatchesFullScanVictimOrder) {
   const auto a2 = fast.embed(make_request(5, 4.0, 2));
   const auto b2 = slow.embed(make_request(5, 4.0, 2));
   expect_same_outcome(a2, b2, "post-preempt greedy");
+}
+
+TEST(PreemptIndex, OverCapBorrowerIsNeverAVictim) {
+  // A borrower bigger than the planned arrival sits on the deficient host.
+  // The specification reaches it in the victim scan and trips the churn
+  // guard; the fast path drops it at the gather and runs out of candidates.
+  // Both must give the same outcome, and it is never preempted.
+  const auto s = two_host_network(600, 1000, 10);
+  const auto apps = chain_app();
+  const Plan plan = one_class_plan(s, apps, 20.0);
+  OliveOptions off;
+  off.enable_fastpath = false;
+  OliveEmbedder fast(s, apps, plan);
+  OliveEmbedder slow(s, apps, plan, "OLIVE", off);
+
+  // Borrowers from the unplanned ingress 2, both on host A: demand 25
+  // (500 CU, over any later arrival's cap) and demand 3 (60 CU).
+  for (OliveEmbedder* algo : {&fast, &slow}) {
+    for (const auto& [id, demand] : {std::pair{1, 25.0}, std::pair{2, 3.0}}) {
+      const auto out = algo->embed(make_request(id, demand, 2));
+      EXPECT_EQ(out.kind, OutcomeKind::Greedy);
+      EXPECT_EQ(out.embedding.node_map[1], 1);  // hostA
+    }
+  }
+  // Demand 20 needs 400 CU of host A, 40 are free: preempting the demand-3
+  // borrower is not enough and the demand-25 one would exceed the cap.
+  const auto a = fast.embed(make_request(3, 20.0, 0));
+  const auto b = slow.embed(make_request(3, 20.0, 0));
+  expect_same_outcome(a, b, "over-cap borrower blocks the preempt");
+  EXPECT_NE(a.kind, OutcomeKind::Planned);
+  EXPECT_TRUE(a.preempted_ids.empty());
+
+  // Demand 5 needs 100 CU, 40 are free: the demand-3 borrower covers it,
+  // and the over-cap borrower stays.
+  const auto a2 = fast.embed(make_request(4, 5.0, 0));
+  const auto b2 = slow.embed(make_request(4, 5.0, 0));
+  expect_same_outcome(a2, b2, "small victim covers, over-cap stays");
+  EXPECT_EQ(a2.kind, OutcomeKind::Planned);
+  EXPECT_EQ(a2.preempted_ids, std::vector<workload::RequestId>{2});
+  for (const OliveEmbedder* algo : {&fast, &slow}) {
+    const auto live = algo->active_allocations();
+    EXPECT_TRUE(std::any_of(live.begin(), live.end(),
+                            [](const auto& x) { return x.id == 1; }));
+  }
+}
+
+TEST(PreemptIndex, VictimOnTwoDeficientElementsIsPreemptedOnce) {
+  // Two borrowers touch host A and the ingress link, and both elements are
+  // short, so the index lists each borrower twice.  Neither covers the
+  // deficit alone: the scan must take both, each exactly once.
+  net::SubstrateNetwork s;
+  s.add_node({"ingress", net::Tier::Edge, 10, 3.0, false});
+  s.add_node({"hostA", net::Tier::Edge, 300, 1.0, false});  // 15 units
+  s.add_node({"hostB", net::Tier::Edge, 10, 2.0, false});
+  s.add_link(0, 1, 30, 1.0);  // 15 units
+  s.add_link(1, 2, 10000, 1.0);
+  const auto apps = chain_app();
+  const Plan plan = one_class_plan(s, apps, 10.0);
+  OliveOptions off;
+  off.enable_fastpath = false;
+  OliveEmbedder fast(s, apps, plan);
+  OliveEmbedder slow(s, apps, plan, "OLIVE", off);
+
+  EmbedOutcome borrowed;
+  for (OliveEmbedder* algo : {&fast, &slow}) {
+    // A planned seat of 8 leaves plan residual 2, so demands of 3 borrow
+    // along the same column; the seat then departs and frees the plan
+    // residual, and both elements shrink to 11 units.
+    EXPECT_EQ(algo->embed(make_request(1, 8.0)).kind, OutcomeKind::Planned);
+    for (const int id : {2, 3}) {
+      borrowed = algo->embed(make_request(id, 3.0));
+      EXPECT_EQ(borrowed.kind, OutcomeKind::Borrowed);
+    }
+    algo->depart(make_request(1, 8.0));
+    EXPECT_TRUE(algo->set_element_capacity(s.node_element(1), 220));
+    EXPECT_TRUE(algo->set_element_capacity(s.link_element(0), 22));
+  }
+  // A planned demand of 10 is 5 units short on both elements.
+  int short_elements = 0;
+  for (const auto& [elem, amount] : borrowed.usage)
+    short_elements += fast.load().residual(elem) < amount * 10.0 - 1e-9;
+  EXPECT_EQ(short_elements, 2);
+
+  const auto a = fast.embed(make_request(4, 10.0));
+  const auto b = slow.embed(make_request(4, 10.0));
+  expect_same_outcome(a, b, "two-element victims");
+  EXPECT_EQ(a.kind, OutcomeKind::Planned);
+  EXPECT_EQ(a.preempted_ids, (std::vector<workload::RequestId>{3, 2}));
+}
+
+TEST(PreemptIndex, ForkedReplayScoresMatchSpecification) {
+  // The portfolio regime: a drifted live prefix, then a snapshot, a fork, a
+  // freshly solved plan and a replay of the trailing window — the fresh
+  // plan's guaranteed seats preempt borrowers the old plan admitted.  The
+  // fast and specification embedders must score bit-identically.
+  ScenarioConfig cfg;
+  cfg.topology = "Iris";
+  cfg.utilization = 1.0;
+  cfg.drift = 1.5;
+  cfg.seed = 11;
+  cfg.trace.horizon = 560;
+  cfg.trace.plan_slots = 400;
+  cfg.trace.lambda_per_node = 2.0;
+  const Scenario sc = build_scenario(cfg);
+  const int base = sc.online.front().arrival;
+  constexpr int kFrom = 40, kSlot = 120;
+
+  // Live prefix: departures first, then the slot's arrivals.
+  const auto drive = [&](OliveEmbedder& algo) {
+    std::vector<workload::Request> active;
+    std::size_t next = 0;
+    long preempted = 0;
+    for (int t = 0; t < kSlot; ++t) {
+      std::erase_if(active, [&](const workload::Request& r) {
+        if (r.arrival - base + r.duration != t) return false;
+        algo.depart(r);
+        return true;
+      });
+      for (; next < sc.online.size() && sc.online[next].arrival - base == t;
+           ++next) {
+        const EmbedOutcome out = algo.embed(sc.online[next]);
+        if (out.accepted()) active.push_back(sc.online[next]);
+        preempted += static_cast<long>(out.preempted_ids.size());
+        std::erase_if(active, [&](const workload::Request& r) {
+          return std::find(out.preempted_ids.begin(), out.preempted_ids.end(),
+                           r.id) != out.preempted_ids.end();
+        });
+      }
+    }
+    return preempted;
+  };
+  OliveOptions off;
+  off.enable_fastpath = false;
+  OliveEmbedder fast(sc.substrate, sc.apps, sc.plan);
+  OliveEmbedder slow(sc.substrate, sc.apps, sc.plan, "OLIVE", off);
+  const long live_preempted = drive(fast);
+  EXPECT_GT(live_preempted, 0);
+  EXPECT_EQ(drive(slow), live_preempted);
+
+  const workload::Trace window =
+      engine::clip_window(sc.online, base, kFrom, kSlot);
+  ASSERT_FALSE(window.empty());
+  AggregationConfig acfg = cfg.aggregation;
+  acfg.horizon = kSlot - kFrom;
+  Rng rng(cfg.seed);
+  const Plan fresh = solve_plan_vne(
+      sc.substrate, sc.apps,
+      aggregate_history(window, static_cast<int>(sc.apps.size()),
+                        sc.substrate.num_nodes(), acfg, rng),
+      cfg.plan);
+  std::vector<double> psi;
+  for (const auto& app : sc.apps)
+    psi.push_back(default_psi(sc.substrate, app.topology));
+
+  const auto score = [&](const OliveEmbedder& algo) {
+    const std::unique_ptr<OnlineEmbedder> clone = algo.fork(algo.snapshot());
+    EXPECT_NE(clone, nullptr);
+    EXPECT_TRUE(clone->install_plan(fresh));
+    return engine::replay_window(*clone, window, kSlot - kFrom, psi);
+  };
+  const engine::ReplayScore a = score(fast);
+  const engine::ReplayScore b = score(slow);
+  EXPECT_GT(a.accepted, 0);
+  EXPECT_GT(a.rejected, 0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.resource_cost),
+            std::bit_cast<std::uint64_t>(b.resource_cost));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.rejection_cost),
+            std::bit_cast<std::uint64_t>(b.rejection_cost));
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.rejected, b.rejected);
 }
 
 TEST(Speculation, CommitsBatchAndRecoversFromConflicts) {

@@ -3,7 +3,11 @@
 // aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "stats/stats.hpp"
 #include "util/distributions.hpp"
@@ -71,6 +75,73 @@ TEST(Bootstrap, DeterministicInRng) {
   const auto e2 = bootstrap_percentile(data, 80, 100, b);
   EXPECT_DOUBLE_EQ(e1.estimate, e2.estimate);
   EXPECT_DOUBLE_EQ(e1.ci_low, e2.ci_low);
+}
+
+/// The bootstrap as first written: materialize each resample and take its
+/// type-7 percentile with nth_element.  The rank-counting implementation
+/// must match it bit for bit and consume the same draws.
+BootstrapEstimate reference_bootstrap(const std::vector<double>& data,
+                                      double alpha, int resamples, Rng& rng) {
+  std::vector<double> replicates(resamples);
+  std::vector<double> sample(data.size());
+  const double h = (alpha / 100.0) * (static_cast<double>(data.size()) - 1);
+  const std::size_t lo = static_cast<std::size_t>(std::floor(h));
+  const double frac = h - static_cast<double>(lo);
+  for (int b = 0; b < resamples; ++b) {
+    for (auto& v : sample) v = data[rng.below(data.size())];
+    const auto nth = sample.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(sample.begin(), nth, sample.end());
+    double v = *nth;
+    if (frac != 0.0 && lo + 1 < sample.size())
+      v += frac * (*std::min_element(nth + 1, sample.end()) - v);
+    replicates[b] = v;
+  }
+  BootstrapEstimate est;
+  double sum = 0;
+  for (double v : replicates) sum += v;
+  est.estimate = sum / resamples;
+  est.ci_low = percentile(replicates, 2.5);
+  est.ci_high = percentile(replicates, 97.5);
+  return est;
+}
+
+/// A demand-like series: runs of zeros (idle slots) and values on a coarse
+/// grid (many ties), or continuous values when `ties` is false.
+std::vector<double> demand_series(std::size_t n, bool ties, Rng& rng) {
+  std::vector<double> out(n);
+  bool idle = false;
+  for (auto& v : out) {
+    if (rng.chance(0.2)) idle = !idle;
+    if (idle)
+      v = 0.0;
+    else
+      v = ties ? 2.5 * static_cast<double>(rng.below(4))
+               : sample_normal(rng, 40.0, 12.0);
+  }
+  return out;
+}
+
+TEST(Bootstrap, CountingMatchesMaterializedResamplesBitForBit) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  Rng gen(17);
+  for (const std::size_t n : {1, 2, 3, 100, 1200}) {
+    for (const bool ties : {true, false}) {
+      const std::vector<double> data = demand_series(n, ties, gen);
+      for (const double alpha : {0.0, 2.5, 80.0, 97.5, 100.0}) {
+        Rng ref_rng(n * 1000 + static_cast<std::uint64_t>(alpha * 10));
+        Rng rng = ref_rng;
+        const auto ref = reference_bootstrap(data, alpha, 50, ref_rng);
+        const auto got = bootstrap_percentile(data, alpha, 50, rng);
+        SCOPED_TRACE(testing::Message() << "n=" << n << " ties=" << ties
+                                        << " alpha=" << alpha);
+        EXPECT_EQ(bits(got.estimate), bits(ref.estimate));
+        EXPECT_EQ(bits(got.ci_low), bits(ref.ci_low));
+        EXPECT_EQ(bits(got.ci_high), bits(ref.ci_high));
+        // Same draws consumed: both generators continue identically.
+        for (int i = 0; i < 4; ++i) EXPECT_EQ(rng(), ref_rng());
+      }
+    }
+  }
 }
 
 TEST(BalanceIndex, PerfectBalanceIsOne) {

@@ -3,6 +3,8 @@
 // generator's connectivity guarantees.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "net/substrate.hpp"
 #include "topo/topologies.hpp"
 #include "util/error.hpp"
@@ -29,6 +31,14 @@ struct TopoCase {
   const char* name;
   int nodes, links;
 };
+
+// Prints a case as its Table II counts, e.g. "50N64E". Without it gtest
+// dumps the struct's raw bytes, which include the address of `name`, so the
+// listed test names (and the CTest names derived from them) would change
+// from run to run under address-space randomisation.
+void PrintTo(const TopoCase& c, std::ostream* os) {
+  *os << c.nodes << 'N' << c.links << 'E';
+}
 
 class EvaluationTopologies : public ::testing::TestWithParam<TopoCase> {};
 
