@@ -159,20 +159,20 @@ int main(int argc, char** argv) {
     const int base = sc.online.empty() ? 0 : sc.online.front().arrival;
     for (const auto& r : sc.online)
       if (r.arrival - base < slotoff_slots) window.push_back(r);
-    core::SlotOffConfig so;
-    so.sim = cfg.sim;
-    so.sim.measure_from = 0;
-    so.sim.measure_to = slotoff_slots;
-    so.sim.drain_slots = 0;
-    so.plan = cfg.plan;
+    core::SimulatorConfig sim = cfg.sim;
+    sim.measure_from = 0;
+    sim.measure_to = slotoff_slots;
+    sim.drain_slots = 0;
+    core::PlanVneConfig plan = cfg.plan;
     // Same pricing-round cap run_algorithm("SlotOff") applies, so these rows
     // time the production SLOTOFF regime.
-    so.plan.max_rounds = std::min(so.plan.max_rounds, 8);
+    plan.max_rounds = std::min(plan.max_rounds, 8);
     bench::PerfCase slot;
     slot.name = "slotoff_window";
     slot.topology = topo;
+    engine::Engine eng(sc.substrate, sc.apps, {sim, {}, {}});
     const auto start = Clock::now();
-    const auto m = core::run_slotoff(sc.substrate, sc.apps, window, so);
+    const auto m = eng.run_slotoff(window, plan);
     slot.seconds_total = seconds_since(start);
     slot.reps = static_cast<int>(m.plan_solves);
     slot.simplex_iterations = m.plan_simplex_iterations;

@@ -1,22 +1,15 @@
-// Simulation metrics (paper §IV) and the legacy run entry points.
+// Simulation configuration and metrics (paper §IV).
 //
-// The slot-driven event loops live in engine::Engine (src/engine/engine.hpp)
-// since the engine redesign; `run_online` and `run_slotoff` below are thin
-// compatibility wrappers over it and are kept only so existing callers and
-// the golden tests need no changes — new code should construct an Engine
-// (observer hooks, mid-run re-planning) or go through the
-// engine::EmbedderRegistry.
-//
-// run_online drives a per-request OnlineEmbedder (OLIVE / QUICKG / FULLG)
-// over a trace: each slot first releases departing requests, then processes
-// that slot's arrivals in order (ON-VNE, Fig. 2).
-//
-// run_slotoff implements the SLOTOFF baseline: every slot it re-solves an
-// OFF-VNE instance (our column-generation PLAN-VNE on the slot's actual
-// active demand) and re-assigns all active requests to the resulting
-// columns; requests that do not fit the accepted fraction are rejected and
-// never reconsidered.  Ongoing requests may receive a completely different
-// allocation each slot — the inherent advantage the paper grants SLOTOFF.
+// engine::Engine runs the simulations: Engine::run drives a per-request
+// OnlineEmbedder (OLIVE / QUICKG / FULLG) over a trace — each slot first
+// releases departing requests, then processes that slot's arrivals in
+// order (ON-VNE, Fig. 2) — and Engine::run_slotoff runs the SLOTOFF
+// baseline: every slot it re-solves an OFF-VNE instance (our
+// column-generation PLAN-VNE on the slot's actual active demand) and
+// re-assigns all active requests to the resulting columns; requests that do
+// not fit the accepted fraction are rejected and never reconsidered.
+// Ongoing requests may receive a completely different allocation each slot
+// — the inherent advantage the paper grants SLOTOFF.
 //
 // Cost accounting (uniform across all algorithms):
 //  * resource cost  — Σ over measured slots of Σ_active d(r)·unitCost(x(r))
@@ -30,7 +23,6 @@
 #include <vector>
 
 #include "core/algorithm.hpp"
-#include "core/plan_solver.hpp"
 #include "net/vnet.hpp"
 #include "workload/request.hpp"
 
@@ -149,28 +141,5 @@ struct SimMetrics {
 
   std::vector<RequestRecord> records;  // only if record_requests
 };
-
-/// Runs a per-request online algorithm over the trace.  The trace's slots
-/// are re-based so its first arrival slot becomes slot 0.
-SimMetrics run_online(const net::SubstrateNetwork& s,
-                      const std::vector<net::Application>& apps,
-                      const workload::Trace& trace, OnlineEmbedder& algo,
-                      const SimulatorConfig& config = {});
-
-struct SlotOffConfig {
-  SimulatorConfig sim;
-  PlanVneConfig plan;  ///< per-slot OFF-VNE solver settings
-  /// Carry each slot's optimal master basis into the next slot's solve
-  /// (PlanWarmStart).  Off forces every slot to a cold all-slack start;
-  /// the solved plans are identical either way (same LP optimum), only the
-  /// simplex iteration counts move.
-  bool warm_start = true;
-};
-
-/// Runs the SLOTOFF baseline.
-SimMetrics run_slotoff(const net::SubstrateNetwork& s,
-                       const std::vector<net::Application>& apps,
-                       const workload::Trace& trace,
-                       const SlotOffConfig& config = {});
 
 }  // namespace olive::core

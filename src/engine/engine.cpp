@@ -5,134 +5,16 @@
 #include <unordered_map>
 
 #include "core/load.hpp"
-#include "core/migrator.hpp"
+#include "engine/slot_loop.hpp"
+#include "serve/clock.hpp"
 #include "util/error.hpp"
 
 namespace olive::engine {
 
 namespace {
 
-// Wall clock for timing diagnostics ONLY (algo_seconds, replan_seconds,
-// hint_seconds, ...).  No simulation decision may read it: the simulated
-// determinism contract (docs/serving.md) requires zero wall-time entropy on
-// bit-identical paths.  The serve layer's SimulatedClock audit pins this.
-using WallClock = std::chrono::steady_clock;
 using core::SimMetrics;
 using core::SimulatorConfig;
-
-double seconds_since(WallClock::time_point start) {
-  return std::chrono::duration<double>(WallClock::now() - start).count();
-}
-
-/// Offered-demand series (demand of all requests over their lifetime, had
-/// they all been accepted) — identical for every algorithm by construction.
-std::vector<double> offered_series_from_trace(const workload::Trace& trace,
-                                              int base, int n_slots) {
-  std::vector<double> diff(static_cast<std::size_t>(n_slots) + 1, 0.0);
-  for (const auto& r : trace) {
-    const int a = r.arrival - base;
-    if (a >= n_slots) continue;
-    diff[a] += r.demand;
-    diff[std::min(r.departure() - base, n_slots)] -= r.demand;
-  }
-  std::vector<double> out(n_slots);
-  double acc = 0;
-  for (int t = 0; t < n_slots; ++t) {
-    acc += diff[t];
-    out[t] = acc;
-  }
-  return out;
-}
-
-struct WindowTally {
-  const SimulatorConfig* config;
-  const std::vector<double>* psi;
-  SimMetrics* metrics;
-
-  bool in_window(int slot) const {
-    return slot >= config->measure_from && slot < config->measure_to;
-  }
-
-  void offered(const workload::Request& r, int slot) {
-    if (!in_window(slot)) return;
-    ++metrics->offered;
-    metrics->offered_demand += r.demand;
-    metrics->requests_by_node[r.ingress] += 1;
-  }
-
-  void rejected(const workload::Request& r, int arrival_slot) {
-    if (!in_window(arrival_slot)) return;
-    ++metrics->rejected;
-    metrics->rejected_demand += r.demand;
-    metrics->rejection_cost += (*psi)[r.app] * r.demand * r.duration;
-    metrics->rejected_by_node_app[r.ingress][r.app] += 1;
-  }
-
-  void preempted(const workload::Request& r, int arrival_slot) {
-    if (!in_window(arrival_slot)) return;
-    ++metrics->preempted;
-    metrics->rejected_demand += r.demand;
-    metrics->rejection_cost += (*psi)[r.app] * r.demand * r.duration;
-    metrics->rejected_by_node_app[r.ingress][r.app] += 1;
-  }
-};
-
-std::vector<double> resolve_psi(const net::SubstrateNetwork& s,
-                                const std::vector<net::Application>& apps,
-                                const SimulatorConfig& config) {
-  if (!config.psi_per_app.empty()) {
-    OLIVE_REQUIRE(config.psi_per_app.size() == apps.size(),
-                  "psi_per_app size mismatch");
-    return config.psi_per_app;
-  }
-  std::vector<double> psi(apps.size());
-  for (std::size_t a = 0; a < apps.size(); ++a)
-    psi[a] = core::default_psi(s, apps[a].topology);
-  return psi;
-}
-
-/// Slot horizon shared by both loops: cover every arrival and the whole
-/// measurement window, then stop `drain_slots` past it.
-int resolve_n_slots(const workload::Trace& trace, int base,
-                    const SimulatorConfig& config) {
-  int last_slot = 0;
-  for (const auto& r : trace)
-    last_slot = std::max(last_slot, r.arrival - base);
-  int n_slots = std::max(last_slot + 1, config.measure_to);
-  if (config.drain_slots >= 0)
-    n_slots = std::min(n_slots, config.measure_to + config.drain_slots);
-  return n_slots;
-}
-
-/// Per-unit-demand usage an allocation places on one element (0 if none).
-double usage_on(const core::Usage& usage, int element) {
-  for (const auto& [e, amount] : usage)
-    if (e == element) return amount;
-  return 0.0;
-}
-
-void fold_fastpath(SimMetrics& metrics, const core::OnlineEmbedder& algo) {
-  const core::FastPathStats fp = algo.fastpath_stats();
-  metrics.fastpath_greedy_hits = fp.greedy_memo_hits;
-  metrics.fastpath_greedy_misses = fp.greedy_memo_misses;
-  metrics.fastpath_greedy_invalidations = fp.greedy_memo_invalidations;
-  metrics.fastpath_column_skips = fp.column_skips;
-  metrics.fastpath_spec_commits = fp.spec_commits;
-  metrics.fastpath_spec_misses = fp.spec_misses;
-  metrics.fastpath_spec_serial = fp.spec_serial;
-}
-
-void accumulate_solve(SimMetrics& metrics, const core::PlanSolveInfo& info) {
-  metrics.plan_solves += 1;
-  metrics.plan_simplex_iterations += info.simplex_iterations;
-  metrics.plan_rounds += info.rounds;
-  metrics.plan_columns_generated += info.columns_generated;
-  metrics.plan_objective_sum += info.objective;
-  metrics.plan_warm_start_hits += info.warm_start_hit ? 1 : 0;
-  metrics.plan_refactorizations += info.refactorizations;
-  metrics.plan_eta_length_max =
-      std::max(metrics.plan_eta_length_max, info.eta_length_max);
-}
 
 }  // namespace
 
@@ -147,518 +29,35 @@ void Engine::add_observer(Observer* observer) {
 
 SimMetrics Engine::run(core::OnlineEmbedder& algo,
                        const workload::Trace& trace) {
-  const SimulatorConfig& sim = config_.sim;
-  SimMetrics metrics;
-  metrics.algorithm = algo.name();
-  metrics.rejected_by_node_app.assign(
-      substrate_.num_nodes(), std::vector<double>(apps_.size(), 0.0));
-  metrics.requests_by_node.assign(substrate_.num_nodes(), 0.0);
-  if (trace.empty()) return metrics;
-
-  const std::vector<double> psi = resolve_psi(substrate_, apps_, sim);
-  WindowTally tally{&sim, &psi, &metrics};
-
-  const int base = trace.front().arrival;
-  const int n_slots = resolve_n_slots(trace, base, sim);
-
-  metrics.offered_series = offered_series_from_trace(trace, base, n_slots);
-  std::vector<double> alloc_diff(static_cast<std::size_t>(n_slots) + 1, 0.0);
-
-  struct Info {
-    const workload::Request* req = nullptr;
-    bool accepted = false;
-    double unit_cost = 0;
-    // Only kept under substrate dynamics: what the allocation occupies, so
-    // failure events can find and repair the embeddings they break.
-    core::Usage usage;
-    net::Embedding embedding;
-  };
-  std::unordered_map<workload::RequestId, Info> info;
-  info.reserve(trace.size());
-  // id -> index into metrics.records, so preemption bookkeeping is O(1)
-  // instead of a linear rescan of every record per victim.
-  std::unordered_map<workload::RequestId, std::size_t> record_index;
-  if (sim.record_requests) record_index.reserve(trace.size());
-
-  // Departure calendar for accepted requests.
-  std::vector<std::vector<const workload::Request*>> departures(
-      static_cast<std::size_t>(n_slots) + 1);
-
-  ReplanPolicy replan(substrate_, apps_, config_.replan);
-
-  // Substrate dynamics state.  An empty failure trace keeps all of this
-  // inert and skips the engine-side per-allocation usage/embedding
-  // snapshots (embedders still record their own embedding — a few ints
-  // per request — so a trace can be supplied to any run).
-  const workload::FailureTrace& fail_trace = config_.failures.trace;
-  const bool dynamics = !fail_trace.empty();
-  if (dynamics) workload::validate_failure_trace(fail_trace, substrate_);
-  core::Migrator migrator(substrate_, apps_);
-  std::vector<char> elem_down;
-  std::vector<double> elem_factor;
-  if (dynamics) {
-    elem_down.assign(substrate_.element_count(), 0);
-    elem_factor.assign(substrate_.element_count(), 1.0);
-  }
-  std::size_t next_event = 0;
-
-  algo.reset();
-  double active_cost = 0;  // Σ over active accepted of d·unit_cost
-  std::size_t next = 0;
-
-  for (int t = 0; t < n_slots; ++t) {
-    for (Observer* o : observers_) o->on_slot_begin(t);
-
-    // 0. Re-plan lifecycle.  The install slot is fixed by the policy, so
-    // the swap happens at the same slot whether the async solve finished
-    // long ago or the wait below has to block for it — bit-identical
-    // results at every thread count.  The swap precedes this slot's
-    // releases and arrivals: slot t is the first slot served by the new
-    // plan.
-    if (replan.pending_install_slot() == t) {
-      const auto wait_start = WallClock::now();
-      ReplanPolicy::Result res = replan.collect();
-      const bool accepted = algo.install_plan(std::move(res.plan));
-      metrics.algo_seconds += seconds_since(wait_start);
-      res.event.installed = accepted;
-      if (accepted) {
-        metrics.replans += 1;
-        metrics.replan_seconds += res.event.solve_seconds;
-        accumulate_solve(metrics, res.event.info);
-      } else {
-        replan.disable();  // the embedder has no plan to swap
-      }
-      for (Observer* o : observers_) o->on_replan(res.event);
-    }
-
-    // 0b. Substrate failure events for slot t (docs/failures.md): update
-    // the embedder's capacity view, then migrate or drop every embedding
-    // the event broke.  Trace-driven and single-threaded, so runs stay
-    // bit-identical at every thread count.
-    while (next_event < fail_trace.size() &&
-           fail_trace[next_event].slot == t) {
-      const workload::FailureEvent& ev = fail_trace[next_event++];
-      const auto fail_start = WallClock::now();
-
-      FailureRecord record;
-      record.event = ev;
-      record.slot = t;
-      const auto capacity_now = [&] {
-        return elem_down[ev.element]
-                   ? 0.0
-                   : substrate_.element_capacity(ev.element) *
-                         elem_factor[ev.element];
-      };
-      record.capacity_before = capacity_now();
-      switch (ev.kind) {
-        case workload::FailureKind::NodeDown:
-        case workload::FailureKind::LinkDown:
-          elem_down[ev.element] = 1;
-          break;
-        case workload::FailureKind::NodeUp:
-        case workload::FailureKind::LinkUp:
-          elem_down[ev.element] = 0;
-          break;
-        case workload::FailureKind::Rescale:
-          elem_factor[ev.element] = ev.factor;
-          break;
-      }
-      record.capacity_after = capacity_now();
-      OLIVE_REQUIRE(
-          algo.set_element_capacity(ev.element, record.capacity_after),
-          "embedder does not support substrate dynamics "
-          "(set_element_capacity)");
-      metrics.failures += 1;
-
-      // Embeddings broken by the event: everything touching a down
-      // element; for a rescale, the newest allocations that keep the
-      // element over-committed.
-      std::vector<workload::RequestId> broken;
-      const bool went_down = ev.kind == workload::FailureKind::NodeDown ||
-                             ev.kind == workload::FailureKind::LinkDown;
-      if (went_down) {
-        for (const auto& [id, inf] : info)
-          if (inf.accepted && usage_on(inf.usage, ev.element) > 0)
-            broken.push_back(id);
-        std::sort(broken.begin(), broken.end());
-      } else if (ev.kind == workload::FailureKind::Rescale &&
-                 algo.load().residual(ev.element) < -1e-6) {
-        std::vector<workload::RequestId> touching;
-        for (const auto& [id, inf] : info)
-          if (inf.accepted && usage_on(inf.usage, ev.element) > 0)
-            touching.push_back(id);
-        // Newest allocations are broken first until the element is
-        // feasible again (older allocations keep their service).
-        std::sort(touching.begin(), touching.end(), std::greater<>());
-        double residual = algo.load().residual(ev.element);
-        for (const workload::RequestId id : touching) {
-          if (residual >= -1e-6) break;
-          broken.push_back(id);
-          residual += usage_on(info.at(id).usage, ev.element) *
-                      info.at(id).req->demand;
-        }
-        std::sort(broken.begin(), broken.end());  // repairs run in id order
-      }
-
-      // Evict every broken allocation first, then repair — each repair
-      // prices against the fully freed residual.
-      for (const workload::RequestId id : broken) {
-        const Info& inf = info.at(id);
-        algo.depart(*inf.req);
-        active_cost -= inf.req->demand * inf.unit_cost;
-      }
-      record.affected = static_cast<int>(broken.size());
-      metrics.failure_hit += record.affected;
-      const core::RepairPolicy policy = config_.failures.repair;
-
-      // Adopts a replacement embedding and does all the bookkeeping; false
-      // leaves the request to the fallback / drop path.
-      const auto try_adopt = [&](Info& inf, const workload::Request& vr,
-                                 const net::Embedding& moved,
-                                 core::RepairStage stage) {
-        auto out = algo.adopt(vr, moved);
-        if (!out) return false;
-        // adopt must fit the residuals as-is (no preemption) — the engine
-        // has no accounting for victims it didn't see.
-        OLIVE_ASSERT(out->preempted_ids.empty());
-        inf.unit_cost = out->unit_cost;
-        inf.usage = std::move(out->usage);
-        inf.embedding = std::move(out->embedding);
-        active_cost += vr.demand * inf.unit_cost;
-        metrics.migrations += 1;
-        record.migrated += 1;
-        switch (stage) {
-          case core::RepairStage::Patched:
-            ++record.patched;
-            ++metrics.repairs_patched;
-            break;
-          case core::RepairStage::Reembedded:
-            ++record.reembedded;
-            ++metrics.repairs_reembedded;
-            break;
-          case core::RepairStage::Batched:
-            ++record.batched;
-            ++metrics.repairs_batched;
-            break;
-          case core::RepairStage::None:
-            break;
-        }
-        return true;
-      };
-
-      // Batched policy: one joint min-cost re-assignment over the freed
-      // residuals (Migrator::plan_batch); requests the batch cannot seat
-      // fall through to the staged per-request ladder below.
-      std::vector<std::optional<net::Embedding>> batch;
-      if (policy == core::RepairPolicy::Batched && broken.size() >= 2) {
-        std::vector<const workload::Request*> reqs;
-        reqs.reserve(broken.size());
-        for (const workload::RequestId id : broken) reqs.push_back(info.at(id).req);
-        batch = migrator.plan_batch(reqs, algo.load());
-      }
-
-      for (std::size_t bi = 0; bi < broken.size(); ++bi) {
-        const workload::RequestId id = broken[bi];
-        Info& inf = info.at(id);
-        const workload::Request& vr = *inf.req;
-        bool repaired = false;
-        if (policy != core::RepairPolicy::Drop) {
-          if (bi < batch.size() && batch[bi].has_value())
-            repaired =
-                try_adopt(inf, vr, *batch[bi], core::RepairStage::Batched);
-          if (!repaired) {
-            core::RepairStage stage = core::RepairStage::None;
-            if (auto moved =
-                    migrator.repair(vr, inf.embedding, algo.load(), &stage))
-              repaired = try_adopt(inf, vr, *moved, stage);
-          }
-        }
-        if (repaired) continue;
-        // SLA violation: the embedding is gone for good (the request is
-        // never reconsidered), accounted like a preemption.
-        inf.accepted = false;
-        metrics.sla_violations += 1;
-        record.dropped += 1;
-        const int varr = vr.arrival - base;
-        const int vdep = std::min(varr + vr.duration, n_slots);
-        alloc_diff[t] -= vr.demand;
-        alloc_diff[vdep] += vr.demand;
-        tally.preempted(vr, varr);
-        if (sim.record_requests) {
-          const auto it = record_index.find(id);
-          if (it != record_index.end())
-            metrics.records[it->second].preempted_at = t;
-        }
-      }
-      replan.note_failure_impact(record.affected);
-      metrics.algo_seconds += seconds_since(fail_start);
-      for (Observer* o : observers_) o->on_failure(record);
-    }
-
-    // Launch only while the install slot still falls inside this run.
-    if (replan.wants_launch(t) &&
-        t + config_.replan.install_delay < n_slots) {
-      const auto launch_start = WallClock::now();
-      // Capacity-aware re-planning prices against the capacity view as of
-      // this launch slot (slot-t failure events already applied above).
-      std::vector<double> capacity_snapshot;
-      if (dynamics && config_.replan.capacity_aware)
-        capacity_snapshot = algo.load().capacities();
-      // Portfolio mode additionally snapshots the embedder's world here (on
-      // this thread, at the policy-fixed slot) and scores candidates with
-      // the same ψ the metrics charge.
-      replan.launch(trace, base, t, capacity_snapshot, &algo, &psi);
-      metrics.algo_seconds += seconds_since(launch_start);
-    }
-
-    // 1. Departures at slot t.
-    const auto dep_start = WallClock::now();
-    for (const workload::Request* r : departures[t]) {
-      if (!info[r->id].accepted) continue;  // preempted meanwhile
-      algo.depart(*r);
-      active_cost -= r->demand * info[r->id].unit_cost;
-      info[r->id].accepted = false;
-    }
-    metrics.algo_seconds += seconds_since(dep_start);
-
-    // 2. Arrivals at slot t, in trace order.  (Arrivals beyond n_slots are
-    // never processed — they cannot affect window metrics.)  The whole
-    // slot's batch is announced first so the embedder may speculate on it
-    // in parallel; embed() itself stays sequential and authoritative.
-    std::size_t slot_end = next;
-    while (slot_end < trace.size() && trace[slot_end].arrival - base == t)
-      ++slot_end;
-    if (slot_end > next) {
-      const auto hint_start = WallClock::now();
-      algo.hint_arrivals(&trace[next], slot_end - next);
-      metrics.algo_seconds += seconds_since(hint_start);
-    }
-    while (next < slot_end) {
-      const workload::Request& r = trace[next++];
-      tally.offered(r, t);
-
-      const auto start = WallClock::now();
-      core::EmbedOutcome outcome = algo.embed(r);
-      metrics.algo_seconds += seconds_since(start);
-
-      if (sim.record_requests) {
-        record_index[r.id] = metrics.records.size();
-        metrics.records.push_back({r.id, t, r.duration, r.app, r.ingress,
-                                   r.demand, outcome.kind, -1});
-      }
-      for (Observer* o : observers_) o->on_outcome(r, outcome, t);
-
-      if (!outcome.accepted()) {
-        tally.rejected(r, t);
-        info[r.id] = Info{&r, false, 0.0, {}, {}};
-        continue;
-      }
-      Info accepted_info{&r, true, outcome.unit_cost, {}, {}};
-      if (dynamics) {
-        // The observers above already saw the outcome; from here ownership
-        // transfers to the engine's per-allocation snapshot.
-        accepted_info.usage = std::move(outcome.usage);
-        accepted_info.embedding = std::move(outcome.embedding);
-      }
-      info[r.id] = std::move(accepted_info);
-      active_cost += r.demand * outcome.unit_cost;
-      const int dep = std::min(t + r.duration, n_slots);
-      alloc_diff[t] += r.demand;
-      alloc_diff[dep] -= r.demand;
-      if (t + r.duration <= n_slots)
-        departures[t + r.duration].push_back(&r);
-
-      for (const workload::RequestId victim_id : outcome.preempted_ids) {
-        auto& vi = info.at(victim_id);
-        OLIVE_ASSERT(vi.accepted);
-        vi.accepted = false;
-        const workload::Request& vr = *vi.req;
-        active_cost -= vr.demand * vi.unit_cost;
-        const int varr = vr.arrival - base;
-        const int vdep = std::min(varr + vr.duration, n_slots);
-        alloc_diff[t] -= vr.demand;  // stops consuming now...
-        alloc_diff[vdep] += vr.demand;  // ...instead of at its departure
-        tally.preempted(vr, varr);
-        if (sim.record_requests) {
-          const auto it = record_index.find(victim_id);
-          if (it != record_index.end())
-            metrics.records[it->second].preempted_at = t;
-        }
-      }
-    }
-
-    // 3. Accrue this slot's resource cost inside the window.
-    if (t >= sim.measure_from && t < sim.measure_to)
-      metrics.resource_cost += active_cost;
-  }
-
-  // `accepted` counted arrivals anywhere; restrict to the window.
-  metrics.accepted = metrics.offered - metrics.rejected - metrics.preempted;
-
-  metrics.allocated_series.resize(n_slots);
-  double acc = 0;
-  for (int t = 0; t < n_slots; ++t) {
-    acc += alloc_diff[t];
-    metrics.allocated_series[t] = acc;
-  }
-  fold_fastpath(metrics, algo);
-  return metrics;
+  workload::VectorTraceStream stream(trace);
+  return run_stream(algo, stream);
 }
 
 SimMetrics Engine::run_stream(core::OnlineEmbedder& algo,
                               workload::TraceStream& stream) {
-  const SimulatorConfig& sim = config_.sim;
-  OLIVE_REQUIRE(config_.failures.trace.empty(),
-                "run_stream does not support failure traces (repair needs "
-                "per-request embedding snapshots)");
-  OLIVE_REQUIRE(config_.replan.period == 0,
-                "run_stream does not support mid-run re-planning (the "
-                "policy clips windows out of the materialized trace)");
-  OLIVE_REQUIRE(!sim.record_requests,
-                "run_stream does not keep per-request records (they grow "
-                "with the trace, defeating the streaming memory bound)");
-
-  SimMetrics metrics;
-  metrics.algorithm = algo.name();
-  metrics.rejected_by_node_app.assign(
-      substrate_.num_nodes(), std::vector<double>(apps_.size(), 0.0));
-  metrics.requests_by_node.assign(substrate_.num_nodes(), 0.0);
-
-  // Pull until the first arrival; its slot re-bases the clock exactly like
-  // run() re-bases on trace.front().arrival.
-  std::vector<workload::Request> slot_buf;
-  int cur = stream.next_slot(slot_buf);
-  while (cur >= 0 && slot_buf.empty()) cur = stream.next_slot(slot_buf);
-  if (cur < 0) return metrics;  // stream carries no requests at all
-  const int base = cur;
-
-  // run() bounds the horizon by the last arrival, which a stream cannot
-  // know in advance; the stream's declared end takes its place.  Whenever
-  // the drain cap binds (n_slots == measure_to + drain_slots, the normal
-  // long-trace regime) the two bounds agree and run()/run_stream() are
-  // bit-identical.
-  const std::vector<double> psi = resolve_psi(substrate_, apps_, sim);
-  WindowTally tally{&sim, &psi, &metrics};
-  int n_slots = std::max(stream.end_slot() - base, sim.measure_to);
-  if (sim.drain_slots >= 0)
-    n_slots = std::min(n_slots, sim.measure_to + sim.drain_slots);
-
-  std::vector<double> offered_diff(static_cast<std::size_t>(n_slots) + 1, 0.0);
-  std::vector<double> alloc_diff(static_cast<std::size_t>(n_slots) + 1, 0.0);
-
-  // Active accepted requests, stored by value and erased on departure or
-  // preemption — the whole point of the streamed drive: memory tracks the
-  // number of concurrently active requests, never the trace length.
-  struct ActiveInfo {
-    workload::Request req;
-    double unit_cost = 0;
-  };
-  std::unordered_map<workload::RequestId, ActiveInfo> active;
-  std::vector<std::vector<workload::RequestId>> departures(
-      static_cast<std::size_t>(n_slots) + 1);
-
-  algo.reset();
-  double active_cost = 0;  // Σ over active accepted of d·unit_cost
-
-  for (int t = 0; t < n_slots; ++t) {
-    for (Observer* o : observers_) o->on_slot_begin(t);
-
-    // 1. Departures at slot t (an id no longer in `active` was preempted).
-    const auto dep_start = WallClock::now();
-    for (const workload::RequestId id : departures[t]) {
-      const auto it = active.find(id);
-      if (it == active.end()) continue;
-      algo.depart(it->second.req);
-      active_cost -= it->second.req.demand * it->second.unit_cost;
-      active.erase(it);
-    }
-    metrics.algo_seconds += seconds_since(dep_start);
-
-    // 2. Arrivals at slot t, in stream order.  The slot buffer is exactly
-    // the batch contract of hint_arrivals: it stays untouched until every
-    // one of its requests has gone through embed().
-    if (cur >= 0 && cur - base == t) {
-      if (!slot_buf.empty()) {
-        const auto hint_start = WallClock::now();
-        algo.hint_arrivals(slot_buf.data(), slot_buf.size());
-        metrics.algo_seconds += seconds_since(hint_start);
-      }
-      for (const workload::Request& r : slot_buf) {
-        offered_diff[t] += r.demand;
-        offered_diff[std::min(r.departure() - base, n_slots)] -= r.demand;
-        tally.offered(r, t);
-
-        const auto start = WallClock::now();
-        const core::EmbedOutcome outcome = algo.embed(r);
-        metrics.algo_seconds += seconds_since(start);
-        for (Observer* o : observers_) o->on_outcome(r, outcome, t);
-
-        if (!outcome.accepted()) {
-          tally.rejected(r, t);
-          continue;
-        }
-        active.emplace(r.id, ActiveInfo{r, outcome.unit_cost});
-        active_cost += r.demand * outcome.unit_cost;
-        const int dep = std::min(t + r.duration, n_slots);
-        alloc_diff[t] += r.demand;
-        alloc_diff[dep] -= r.demand;
-        if (t + r.duration <= n_slots)
-          departures[t + r.duration].push_back(r.id);
-
-        for (const workload::RequestId victim_id : outcome.preempted_ids) {
-          const auto vit = active.find(victim_id);
-          OLIVE_ASSERT(vit != active.end());
-          const workload::Request vr = vit->second.req;
-          active_cost -= vr.demand * vit->second.unit_cost;
-          active.erase(vit);
-          const int varr = vr.arrival - base;
-          const int vdep = std::min(varr + vr.duration, n_slots);
-          alloc_diff[t] -= vr.demand;  // stops consuming now...
-          alloc_diff[vdep] += vr.demand;  // ...instead of at its departure
-          tally.preempted(vr, varr);
-        }
-      }
-      cur = stream.next_slot(slot_buf);
-    }
-
-    // 3. Accrue this slot's resource cost inside the window.
-    if (t >= sim.measure_from && t < sim.measure_to)
-      metrics.resource_cost += active_cost;
-  }
-
-  metrics.accepted = metrics.offered - metrics.rejected - metrics.preempted;
-
-  metrics.offered_series.resize(n_slots);
-  metrics.allocated_series.resize(n_slots);
-  double off_acc = 0, alloc_acc = 0;
-  for (int t = 0; t < n_slots; ++t) {
-    off_acc += offered_diff[t];
-    metrics.offered_series[t] = off_acc;
-    alloc_acc += alloc_diff[t];
-    metrics.allocated_series[t] = alloc_acc;
-  }
-  fold_fastpath(metrics, algo);
-  return metrics;
+  serve::SteadyClock clock;
+  return SlotLoop(substrate_, apps_, config_, algo, clock, observers_)
+      .run(stream);
 }
 
 SimMetrics Engine::run_slotoff(const workload::Trace& trace,
                                const core::PlanVneConfig& plan_config,
                                bool warm_start) {
   const SimulatorConfig& sim = config_.sim;
-  SimMetrics metrics;
-  metrics.algorithm = "SlotOff";
-  metrics.rejected_by_node_app.assign(
-      substrate_.num_nodes(), std::vector<double>(apps_.size(), 0.0));
-  metrics.requests_by_node.assign(substrate_.num_nodes(), 0.0);
+  SimMetrics metrics = blank_metrics(substrate_, apps_, "SlotOff");
   if (trace.empty()) return metrics;
 
   const std::vector<double> psi = resolve_psi(substrate_, apps_, sim);
   WindowTally tally{&sim, &psi, &metrics};
 
   const int base = trace.front().arrival;
-  const int n_slots = resolve_n_slots(trace, base, sim);
-  metrics.offered_series = offered_series_from_trace(trace, base, n_slots);
+  const int n_slots = run_horizon(trace.back().arrival - base + 1, sim);
+  metrics.offered_series.assign(n_slots, 0.0);
   metrics.allocated_series.assign(n_slots, 0.0);
+  // Offered demand (every request over its lifetime, had it been accepted):
+  // per-slot deltas, summed as the slots pass.
+  std::vector<double> offered_delta(static_cast<std::size_t>(n_slots) + 1);
+  double offered_now = 0;
 
   // (app, ingress) classes maintained incrementally: membership changes only
   // on arrival, departure, and drop, instead of re-hashing every active
@@ -697,57 +96,18 @@ SimMetrics Engine::run_slotoff(const workload::Trace& trace,
   // the capacity view each per-slot master prices (PlanVneConfig overlay)
   // and the rounding pass seats against.  Requests on damaged elements are
   // re-seated elsewhere or dropped by the very next solve.
-  const workload::FailureTrace& fail_trace = config_.failures.trace;
-  const bool dynamics = !fail_trace.empty();
-  if (dynamics) workload::validate_failure_trace(fail_trace, substrate_);
-  std::vector<char> elem_down;
-  std::vector<double> elem_factor;
-  std::vector<double> capacities;
-  if (dynamics) {
-    elem_down.assign(substrate_.element_count(), 0);
-    elem_factor.assign(substrate_.element_count(), 1.0);
-    capacities.resize(substrate_.element_count());
-    for (int e = 0; e < substrate_.element_count(); ++e)
-      capacities[e] = substrate_.element_capacity(e);
-  }
-  std::size_t next_event = 0;
+  CapacityView capacity(substrate_, config_.failures.trace);
+  const bool dynamics = capacity.dynamic();
   core::PlanVneConfig overlay_config = plan_config;  // dynamics only
 
   for (int t = 0; t < n_slots; ++t) {
     for (Observer* o : observers_) o->on_slot_begin(t);
 
     // Failure events for slot t: update the capacity view before this
-    // slot's solve (same slot-boundary position as Engine::run).
-    while (next_event < fail_trace.size() &&
-           fail_trace[next_event].slot == t) {
-      const workload::FailureEvent& ev = fail_trace[next_event++];
-      FailureRecord record;
-      record.event = ev;
-      record.slot = t;
-      const auto capacity_now = [&] {
-        return elem_down[ev.element]
-                   ? 0.0
-                   : substrate_.element_capacity(ev.element) *
-                         elem_factor[ev.element];
-      };
-      record.capacity_before = capacity_now();
-      switch (ev.kind) {
-        case workload::FailureKind::NodeDown:
-        case workload::FailureKind::LinkDown:
-          elem_down[ev.element] = 1;
-          break;
-        case workload::FailureKind::NodeUp:
-        case workload::FailureKind::LinkUp:
-          elem_down[ev.element] = 0;
-          break;
-        case workload::FailureKind::Rescale:
-          elem_factor[ev.element] = ev.factor;
-          break;
-      }
-      record.capacity_after = capacity_now();
-      capacities[ev.element] = record.capacity_after;
+    // slot's solve (same slot-boundary position as the SlotLoop).
+    while (std::optional<FailureRecord> record = capacity.next(t)) {
       metrics.failures += 1;
-      for (Observer* o : observers_) o->on_failure(record);
+      for (Observer* o : observers_) o->on_failure(*record);
     }
 
     // Departures, then this slot's arrivals.
@@ -761,12 +121,16 @@ SimMetrics Engine::run_slotoff(const workload::Trace& trace,
       if (inserted) classes.push_back({r.app, r.ingress, {}});
       classes[it->second].members.push_back(&r);
       const int dep = r.departure() - base;
+      offered_delta[t] += r.demand;
+      offered_delta[std::min(dep, n_slots)] -= r.demand;
       if (dep <= n_slots) departures[dep].push_back(&r);
       ++n_active;
     }
+    offered_now += offered_delta[t];
+    metrics.offered_series[t] = offered_now;
     if (n_active == 0) continue;
 
-    const auto start = WallClock::now();
+    const auto start = std::chrono::steady_clock::now();
 
     // Aggregate the slot's actual demand per class and solve OFF-VNE.
     // Classes are ordered by their oldest alive member (trace position),
@@ -792,7 +156,7 @@ SimMetrics Engine::run_slotoff(const workload::Trace& trace,
       members_of.push_back(&sc->members);
     }
     core::PlanSolveInfo solve_info;
-    if (dynamics) overlay_config.capacities = capacities;
+    if (dynamics) overlay_config.capacities = capacity.capacities();
     const core::Plan plan = core::solve_plan_vne(
         substrate_, apps_, aggs, dynamics ? overlay_config : plan_config,
         &solve_info, &cache, warm_ptr);
@@ -804,7 +168,7 @@ SimMetrics Engine::run_slotoff(const workload::Trace& trace,
     core::LoadTracker load(substrate_);
     if (dynamics)
       for (int e = 0; e < substrate_.element_count(); ++e)
-        load.set_capacity(e, capacities[e]);
+        load.set_capacity(e, capacity.capacities()[e]);
     double slot_cost = 0, slot_alloc = 0;
     std::vector<const workload::Request*> dropped;
     for (int c = 0; c < plan.num_classes(); ++c) {
@@ -833,23 +197,21 @@ SimMetrics Engine::run_slotoff(const workload::Trace& trace,
       }
     }
 
-    metrics.algo_seconds += seconds_since(start);
+    // Wall time for the algo_seconds diagnostic only.
+    metrics.algo_seconds += std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
 
-    // Dropped requests are rejected for good (never reconsidered).
+    // Dropped requests are rejected for good (never reconsidered): a new
+    // arrival counts as rejected, an ongoing one as preempted.
     for (const workload::Request* r : dropped) {
       const int arr = r->arrival - base;
-      const bool is_new = arr == t;
-      if (is_new) {
-        tally.rejected(*r, arr);
-      } else {
-        tally.preempted(*r, arr);
-      }
+      tally.lost(*r, arr, /*preempted=*/arr != t);
       n_active -= drop_from_class(r);
     }
 
     metrics.allocated_series[t] = slot_alloc;
-    if (t >= sim.measure_from && t < sim.measure_to)
-      metrics.resource_cost += slot_cost;
+    if (tally.in_window(t)) metrics.resource_cost += slot_cost;
   }
 
   metrics.accepted = metrics.offered - metrics.rejected - metrics.preempted;

@@ -1,22 +1,20 @@
-// The unified runtime: one slot-driven event loop for every algorithm.
+// The unified runtime: one slot loop for every per-request algorithm.
 //
 // Engine owns the discrete-time simulation the paper's §IV experiments run
-// on — per slot: (optional) plan hot-swap at the deterministic re-plan
+// on.  Per slot: (optional) plan hot-swap at the deterministic re-plan
 // boundary, substrate failure/recovery events with migration-based repair
 // (EngineConfig::failures, docs/failures.md), releases of departing
-// requests, this slot's arrivals in trace order, then metric accrual — and
-// exposes it twice:
-//
-//  * run(algo, trace)        — the ON-VNE loop for per-request embedders
-//                              (OLIVE / QUICKG / FULLG / any plugin);
-//  * run_slotoff(trace, ...) — the SLOTOFF baseline's per-slot OFF-VNE
-//                              re-solve loop.
+// requests, this slot's arrivals in trace order, then metric accrual.  That
+// slot body is engine::SlotLoop (engine/slot_loop.hpp), the only one in the
+// code base; Engine drives it from a materialized trace (run) or a
+// TraceStream (run_stream), and serve::Server drives the same loop live.
+// run_slotoff is the SLOTOFF baseline's per-slot OFF-VNE re-solve loop.
 //
 // Observers hook the loop without perturbing it (`on_slot_begin`,
 // `on_outcome`, `on_replan`, `on_failure`); a ReplanPolicy
-// (engine/replan.hpp) makes the run re-plan mid-flight.  The legacy free functions `core::run_online` /
-// `core::run_slotoff` and the string-dispatch `core::run_algorithm` are thin
-// wrappers over this class and the EmbedderRegistry (engine/registry.hpp).
+// (engine/replan.hpp) makes the run re-plan mid-flight.  The string
+// dispatch `core::run_algorithm` goes through the EmbedderRegistry
+// (engine/registry.hpp).
 //
 // Determinism: with the same config, trace, and algorithm, a run is
 // bit-identical at every `OLIVE_THREADS` value — re-plan solves are
@@ -86,7 +84,7 @@ class Observer {
   virtual void on_failure(const FailureRecord& record) { (void)record; }
 };
 
-/// How Engine::run reacts to substrate capacity events.
+/// How a run reacts to substrate capacity events.
 struct FailureHandling {
   /// Events applied at slot boundaries (slot 0 = the first trace slot),
   /// after a pending re-plan install but before the slot's releases and
@@ -102,11 +100,10 @@ struct FailureHandling {
 
 struct EngineConfig {
   core::SimulatorConfig sim;
-  /// Mid-run re-planning; `replan.period == 0` (the default) disables it
-  /// and makes Engine::run bit-identical to the pre-engine run_online.
+  /// Mid-run re-planning; `replan.period == 0` (the default) disables it.
   ReplanConfig replan;
-  /// Substrate failure/recovery dynamics.  Engine::run migrates or drops
-  /// the embeddings each event breaks; run_slotoff folds the shrunk
+  /// Substrate failure/recovery dynamics.  Request-driven runs migrate or
+  /// drop the embeddings each event breaks; run_slotoff folds the shrunk
   /// capacities into every per-slot master instead (docs/failures.md).
   FailureHandling failures;
 };
@@ -130,22 +127,22 @@ class Engine {
 
   const EngineConfig& config() const noexcept { return config_; }
 
-  /// Runs a per-request online embedder over the trace (slots re-based so
-  /// the first arrival is slot 0).  With re-planning configured, trailing
-  /// demand windows are re-solved asynchronously and hot-swapped via
-  /// OnlineEmbedder::install_plan at each policy-fixed install slot.
+  /// Runs a per-request online embedder over an arrival-sorted trace with
+  /// non-negative arrival slots (re-based so the first arrival is slot 0):
+  /// run_stream over a VectorTraceStream, whose end is the last arrival + 1.  With
+  /// re-planning configured, trailing demand windows are re-solved
+  /// asynchronously and hot-swapped via OnlineEmbedder::install_plan at
+  /// each policy-fixed install slot.
   core::SimMetrics run(core::OnlineEmbedder& algo,
                        const workload::Trace& trace);
 
   /// Runs a per-request online embedder over a *streamed* trace
-  /// (workload::TraceStream): requests are pulled slot by slot and active
-  /// ones stored by value, so a 10^6+-request run holds memory proportional
-  /// to the number of *concurrently active* requests, not the trace length.
-  /// Bit-identical to run() on the materialized trace whenever the stream's
-  /// declared horizon covers the drain window (pinned by
-  /// tests/engine_test.cpp).  Restrictions — enforced, not silent: no
-  /// failure trace, no re-planning, no per-request records (all three
-  /// need random access to the full trace or per-request history).
+  /// (workload::TraceStream): requests are pulled slot by slot and only the
+  /// active ones are kept, so a 10^6+-request run holds memory proportional
+  /// to the number of *concurrently active* requests, not the trace length
+  /// (per-request records, when enabled, grow with the trace).  Bit-identical
+  /// to run() on the materialized trace whenever the stream's declared
+  /// horizon covers the drain window (pinned by tests/stream_test.cpp).
   core::SimMetrics run_stream(core::OnlineEmbedder& algo,
                               workload::TraceStream& stream);
 

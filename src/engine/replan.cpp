@@ -82,6 +82,12 @@ workload::Trace clip_window(const workload::Trace& trace, int base,
   return clipped;
 }
 
+void trim_admission_log(workload::Trace& log, int base, std::int64_t from) {
+  std::erase_if(log, [base, from](const workload::Request& r) {
+    return static_cast<std::int64_t>(r.arrival) - base + r.duration <= from;
+  });
+}
+
 ReplayScore replay_window(core::OnlineEmbedder& world,
                           const workload::Trace& window, std::int64_t horizon,
                           const std::vector<double>& psi) {
@@ -180,6 +186,14 @@ bool ReplanPolicy::wants_launch(std::int64_t slot) const noexcept {
   if (!enabled() || pending_ || slot <= 0) return false;
   if (slot % config_.period == 0) return true;
   return config_.failure_burst > 0 && failure_hits_ >= config_.failure_burst;
+}
+
+std::int64_t ReplanPolicy::window_start(std::int64_t slot) const noexcept {
+  const int window = config_.window > 0 ? config_.window : config_.period;
+  int widest = window;
+  for (int k = 1; k < config_.candidates; ++k)
+    widest = std::max(widest, candidate_recipe(k, config_, window).window);
+  return std::max<std::int64_t>(0, slot - widest);
 }
 
 void ReplanPolicy::launch(const workload::Trace& trace, int base,

@@ -6,8 +6,11 @@
 // bootstrapped-percentile estimator the offline plan uses, solves PLAN-VNE
 // for the result *asynchronously* on the shared ThreadPool (carrying the
 // column cache and the PlanWarmStart basis across consecutive re-plans, the
-// PR-3 machinery), and hands the finished plan back to the engine at a
-// deterministic install slot `launch + install_delay`.
+// PR-3 machinery), and hands the finished plan back to the slot loop at a
+// deterministic install slot `launch + install_delay`.  The observed demand
+// is the loop's admission log, trimmed at each launch to the requests
+// clip_window can still select, so every run — materialized, streamed or
+// live — aggregates the same window.
 //
 // Portfolio mode (docs/replanning.md): with `candidates` = K > 1, each
 // launch forks K candidate configurations — the exact baseline plus
@@ -125,6 +128,13 @@ struct ReplayScore {
 workload::Trace clip_window(const workload::Trace& trace, int base,
                             std::int64_t from, std::int64_t slot);
 
+/// Trims a run's admission log (its arrivals in admission order, slots
+/// `arrival - base`) to the requests clip_window can still select from
+/// `from` on: those that depart after `from`.  Windows only move forward,
+/// so a log trimmed at each launch to ReplanPolicy::window_start clips to
+/// exactly what the full trace would at that launch and every later one.
+void trim_admission_log(workload::Trace& log, int base, std::int64_t from);
+
 /// Replays `window` (a clip_window result: window coordinates, arrival
 /// sorted) against `world` slot by slot — departures first, then arrivals in
 /// trace order — and scores the realized cost over `horizon` slots.
@@ -154,7 +164,7 @@ struct ReplanEvent {
 };
 
 /// Owns the launch schedule, the async solve(s), and the cross-replan
-/// cache/warm-start state.  One instance lives inside each Engine run.
+/// cache/warm-start state.  One instance lives inside each SlotLoop.
 class ReplanPolicy {
  public:
   ReplanPolicy(const net::SubstrateNetwork& substrate,
@@ -168,6 +178,10 @@ class ReplanPolicy {
 
   /// True when a new solve should launch at the beginning of `slot`.
   bool wants_launch(std::int64_t slot) const noexcept;
+
+  /// The oldest slot a launch at `slot` clips demand from, over every
+  /// portfolio candidate's window.
+  std::int64_t window_start(std::int64_t slot) const noexcept;
 
   /// Launches the async PLAN-VNE solve(s) over the trailing window of
   /// `trace` (slots are `arrival - base`; only arrivals strictly before

@@ -1,9 +1,10 @@
 // Clock abstraction for the serving layer (docs/serving.md).
 //
-// serve::Server drives one slot loop against a Clock: under SteadyClock the
-// slot boundaries are real wall deadlines (the long-lived service mode),
-// under SimulatedClock they advance instantly and deterministically (the
-// simulation mode, bit-identical to engine::Engine::run_stream).  The
+// engine::SlotLoop runs against a Clock: under SteadyClock the slot
+// boundaries of serve::Server are real wall deadlines (the long-lived
+// service mode), under SimulatedClock they advance instantly and
+// deterministically (the simulation mode, bit-identical to
+// engine::Engine::run_stream).  The
 // pattern follows erizo's Clock / DZSimulator's sim::Clock (SNIPPETS.md
 // Snippets 2-3) with one deliberate deviation: SimulatedClock starts at the
 // *epoch* (time_point{}), never at steady_clock::now(), so simulated runs
@@ -13,10 +14,10 @@
 //
 // Wall-entropy contract: on the simulated path, every time read goes
 // through the injected Clock; code running under a SimulatedClock performs
-// no std::chrono::steady_clock::now() calls at all.  (The engine's
-// `algo_seconds`/`solve_seconds` diagnostics do read wall time, but those
-// are documented as outside the bit-identity contract — see
-// docs/serving.md "Wall-entropy audit".)
+// no std::chrono::steady_clock::now() calls at all.  The slot loop times
+// its `algo_seconds` diagnostic through the injected Clock; only the
+// re-plan solves' `solve_seconds` reads wall time, which is why the
+// simulated server refuses re-planning (docs/serving.md).
 #pragma once
 
 #include <atomic>

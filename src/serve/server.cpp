@@ -2,362 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
+#include "engine/slot_loop.hpp"
 #include "util/error.hpp"
 
 namespace olive::serve {
-
-namespace {
-
-using core::SimMetrics;
-using core::SimulatorConfig;
-
-double seconds_between(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
-// The window tally / psi / metric-folding helpers below intentionally
-// replicate engine.cpp's private ones line for line: the serving layer must
-// reproduce Engine::run_stream bit for bit, and the equivalence test
-// (tests/serve_test.cpp) pins the two copies together — a divergence fails
-// CI before it can drift.
-
-struct WindowTally {
-  const SimulatorConfig* config;
-  const std::vector<double>* psi;
-  SimMetrics* metrics;
-
-  bool in_window(std::int64_t slot) const {
-    return slot >= config->measure_from && slot < config->measure_to;
-  }
-
-  void offered(const workload::Request& r, std::int64_t slot) {
-    if (!in_window(slot)) return;
-    ++metrics->offered;
-    metrics->offered_demand += r.demand;
-    metrics->requests_by_node[r.ingress] += 1;
-  }
-
-  void rejected(const workload::Request& r, std::int64_t arrival_slot) {
-    if (!in_window(arrival_slot)) return;
-    ++metrics->rejected;
-    metrics->rejected_demand += r.demand;
-    metrics->rejection_cost += (*psi)[r.app] * r.demand * r.duration;
-    metrics->rejected_by_node_app[r.ingress][r.app] += 1;
-  }
-
-  void preempted(const workload::Request& r, std::int64_t arrival_slot) {
-    if (!in_window(arrival_slot)) return;
-    ++metrics->preempted;
-    metrics->rejected_demand += r.demand;
-    metrics->rejection_cost += (*psi)[r.app] * r.demand * r.duration;
-    metrics->rejected_by_node_app[r.ingress][r.app] += 1;
-  }
-};
-
-std::vector<double> resolve_psi(const net::SubstrateNetwork& s,
-                                const std::vector<net::Application>& apps,
-                                const SimulatorConfig& config) {
-  if (!config.psi_per_app.empty()) {
-    OLIVE_REQUIRE(config.psi_per_app.size() == apps.size(),
-                  "psi_per_app size mismatch");
-    return config.psi_per_app;
-  }
-  std::vector<double> psi(apps.size());
-  for (std::size_t a = 0; a < apps.size(); ++a)
-    psi[a] = core::default_psi(s, apps[a].topology);
-  return psi;
-}
-
-void fold_fastpath(SimMetrics& metrics, const core::OnlineEmbedder& algo) {
-  const core::FastPathStats fp = algo.fastpath_stats();
-  metrics.fastpath_greedy_hits = fp.greedy_memo_hits;
-  metrics.fastpath_greedy_misses = fp.greedy_memo_misses;
-  metrics.fastpath_greedy_invalidations = fp.greedy_memo_invalidations;
-  metrics.fastpath_column_skips = fp.column_skips;
-  metrics.fastpath_spec_commits = fp.spec_commits;
-  metrics.fastpath_spec_misses = fp.spec_misses;
-  metrics.fastpath_spec_serial = fp.spec_serial;
-}
-
-void accumulate_solve(SimMetrics& metrics, const core::PlanSolveInfo& info) {
-  metrics.plan_solves += 1;
-  metrics.plan_simplex_iterations += info.simplex_iterations;
-  metrics.plan_rounds += info.rounds;
-  metrics.plan_columns_generated += info.columns_generated;
-  metrics.plan_objective_sum += info.objective;
-  metrics.plan_warm_start_hits += info.warm_start_hit ? 1 : 0;
-  metrics.plan_refactorizations += info.refactorizations;
-  metrics.plan_eta_length_max =
-      std::max(metrics.plan_eta_length_max, info.eta_length_max);
-}
-
-SimMetrics blank_metrics(const net::SubstrateNetwork& substrate,
-                         const std::vector<net::Application>& apps,
-                         const std::string& name) {
-  SimMetrics metrics;
-  metrics.algorithm = name;
-  metrics.rejected_by_node_app.assign(
-      substrate.num_nodes(), std::vector<double>(apps.size(), 0.0));
-  metrics.requests_by_node.assign(substrate.num_nodes(), 0.0);
-  return metrics;
-}
-
-/// The slot body both clocks share: departures, batch admission with the
-/// hint_arrivals contract, preemption bookkeeping, window accrual, series
-/// finalization — a faithful replica of Engine::run_stream's loop body.
-///
-/// Bounded mode (n_slots >= 0, run_simulated) uses run_stream's exact
-/// fixed-size difference arrays and index clamps so the runs are
-/// bit-identical.  Unbounded mode (n_slots < 0, live serving) has no
-/// horizon until stop(), so it must not grow per-slot state: future
-/// departures and demand deltas live in hash maps erased as their slot
-/// passes (memory is bounded by the active leases, not the uptime), the
-/// offered/allocated series is a trailing ring of `series_window` slots,
-/// and slots are 64-bit — a 10 ms slot counter in an int would overflow
-/// after ~8 months of uptime.
-class RunCore {
- public:
-  RunCore(const SimulatorConfig& sim, std::vector<double> psi,
-          SimMetrics metrics, int n_slots, std::size_t series_window = 0)
-      : sim_(sim),
-        psi_(std::move(psi)),
-        metrics_(std::move(metrics)),
-        n_slots_(n_slots),
-        series_window_(series_window),
-        tally_{&sim_, &psi_, &metrics_} {
-    if (bounded()) {
-      offered_diff_.assign(static_cast<std::size_t>(n_slots_) + 1, 0.0);
-      alloc_diff_.assign(static_cast<std::size_t>(n_slots_) + 1, 0.0);
-      departures_.resize(static_cast<std::size_t>(n_slots_) + 1);
-    }
-  }
-
-  bool bounded() const { return n_slots_ >= 0; }
-  SimMetrics& metrics() { return metrics_; }
-
-  long decided() const { return decided_; }
-  long accepted() const { return accepted_; }
-  long rejected() const { return rejected_; }
-  long preempted() const { return preempted_; }
-  long departed() const { return departed_; }
-
-  /// Live mode only: folds the demand deltas scheduled for slot t (lease
-  /// ends, preemption cancellations) into the running offered/allocated
-  /// sums and frees their entries.  Call at the top of each slot.
-  void begin_slot(std::int64_t t) {
-    if (bounded()) return;
-    if (const auto it = offered_delta_.find(t); it != offered_delta_.end()) {
-      offered_now_ += it->second;
-      offered_delta_.erase(it);
-    }
-    if (const auto it = alloc_delta_.find(t); it != alloc_delta_.end()) {
-      alloc_now_ += it->second;
-      alloc_delta_.erase(it);
-    }
-  }
-
-  /// Releases the leases expiring at slot t (ids preempted meanwhile are
-  /// simply no longer in `active_`).
-  void depart(core::OnlineEmbedder& algo, std::int64_t t) {
-    if (bounded()) {
-      const auto slot = static_cast<std::size_t>(t);
-      if (slot >= departures_.size()) return;
-      release(algo, departures_[slot]);
-      departures_[slot].clear();
-    } else {
-      const auto it = departures_live_.find(t);
-      if (it == departures_live_.end()) return;
-      release(algo, it->second);
-      departures_live_.erase(it);
-    }
-  }
-
-  /// Admits one slot batch in order: announce via hint_arrivals (the PR-8
-  /// speculation contract — the buffer stays untouched until every request
-  /// has gone through embed()), then decide each request.  `hist`, if
-  /// given, receives one sample per decision; with `enq`/`clock` the sample
-  /// is submit()-to-decision wall latency, otherwise 0 (simulated mode —
-  /// no clock reads on this path).
-  void admit(core::OnlineEmbedder& algo, std::int64_t t, int base,
-             const workload::Request* batch, std::size_t n,
-             LatencyHistogram* hist, const Clock::time_point* enq,
-             Clock* clock) {
-    if (n == 0) return;
-    algo.hint_arrivals(batch, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const workload::Request& r = batch[i];
-      if (bounded()) {
-        at(offered_diff_, static_cast<int>(t)) += r.demand;
-        at(offered_diff_, clamp(r.departure() - base)) -= r.demand;
-      } else {
-        offered_now_ += r.demand;
-        offered_delta_[t + r.duration] -= r.demand;
-      }
-      tally_.offered(r, t);
-
-      const core::EmbedOutcome outcome = algo.embed(r);
-      ++decided_;
-      if (hist) {
-        std::uint64_t ns = 0;
-        if (enq && clock) {
-          const auto d = clock->now() - enq[i];
-          ns = d.count() > 0 ? static_cast<std::uint64_t>(
-                                   std::chrono::duration_cast<
-                                       std::chrono::nanoseconds>(d)
-                                       .count())
-                             : 0;
-        }
-        hist->record(ns);
-      }
-
-      if (!outcome.accepted()) {
-        tally_.rejected(r, t);
-        ++rejected_;
-        continue;
-      }
-      ++accepted_;
-      active_.emplace(r.id, ActiveInfo{r, outcome.unit_cost, t});
-      active_cost_ += r.demand * outcome.unit_cost;
-      if (bounded()) {
-        at(alloc_diff_, static_cast<int>(t)) += r.demand;
-        at(alloc_diff_, clamp(t + r.duration)) -= r.demand;
-        if (t + r.duration <= n_slots_)
-          departures_[static_cast<std::size_t>(t + r.duration)].push_back(
-              r.id);
-      } else {
-        alloc_now_ += r.demand;
-        alloc_delta_[t + r.duration] -= r.demand;
-        departures_live_[t + r.duration].push_back(r.id);
-      }
-
-      for (const workload::RequestId victim_id : outcome.preempted_ids) {
-        const auto vit = active_.find(victim_id);
-        OLIVE_ASSERT(vit != active_.end());
-        const workload::Request vr = vit->second.req;
-        // The victim's admit slot (== vr.arrival - base in bounded mode;
-        // in live mode vr.arrival saturates at INT_MAX, this never does).
-        const std::int64_t varr = vit->second.arrival_slot;
-        active_cost_ -= vr.demand * vit->second.unit_cost;
-        active_.erase(vit);
-        if (bounded()) {
-          at(alloc_diff_, static_cast<int>(t)) -=
-              vr.demand;  // stops consuming now...
-          at(alloc_diff_, clamp(varr + vr.duration)) +=
-              vr.demand;  // ...not at its departure
-        } else {
-          alloc_now_ -= vr.demand;
-          alloc_delta_[varr + vr.duration] += vr.demand;
-        }
-        tally_.preempted(vr, varr);
-        ++preempted_;
-      }
-    }
-  }
-
-  /// Accrues slot t's resource cost if it falls inside the window; in live
-  /// mode also snapshots the slot into the trailing series ring.
-  void accrue(std::int64_t t) {
-    if (t >= sim_.measure_from && t < sim_.measure_to)
-      metrics_.resource_cost += active_cost_;
-    if (!bounded() && series_window_ > 0) {
-      offered_ring_.push_back(offered_now_);
-      alloc_ring_.push_back(alloc_now_);
-      if (offered_ring_.size() > series_window_) {
-        offered_ring_.pop_front();
-        alloc_ring_.pop_front();
-      }
-    }
-  }
-
-  /// Window-accepted count, series, fast-path fold.  Bounded mode emits
-  /// run_stream's exact prefix-sum series over [0, n_final); live mode
-  /// emits the trailing ring (the last min(slots, series_window) slots).
-  SimMetrics finalize(const core::OnlineEmbedder& algo, std::int64_t n_final) {
-    metrics_.accepted =
-        metrics_.offered - metrics_.rejected - metrics_.preempted;
-    if (bounded()) {
-      metrics_.offered_series.resize(static_cast<std::size_t>(n_final));
-      metrics_.allocated_series.resize(static_cast<std::size_t>(n_final));
-      double off_acc = 0, alloc_acc = 0;
-      for (std::int64_t t = 0; t < n_final; ++t) {
-        const auto i = static_cast<std::size_t>(t);
-        off_acc += i < offered_diff_.size() ? offered_diff_[i] : 0.0;
-        metrics_.offered_series[i] = off_acc;
-        alloc_acc += i < alloc_diff_.size() ? alloc_diff_[i] : 0.0;
-        metrics_.allocated_series[i] = alloc_acc;
-      }
-    } else {
-      metrics_.offered_series.assign(offered_ring_.begin(),
-                                     offered_ring_.end());
-      metrics_.allocated_series.assign(alloc_ring_.begin(),
-                                       alloc_ring_.end());
-    }
-    fold_fastpath(metrics_, algo);
-    return std::move(metrics_);
-  }
-
- private:
-  struct ActiveInfo {
-    workload::Request req;
-    double unit_cost = 0;
-    std::int64_t arrival_slot = 0;
-  };
-
-  void release(core::OnlineEmbedder& algo,
-               const std::vector<workload::RequestId>& ids) {
-    for (const workload::RequestId id : ids) {
-      const auto it = active_.find(id);
-      if (it == active_.end()) continue;
-      algo.depart(it->second.req);
-      active_cost_ -= it->second.req.demand * it->second.unit_cost;
-      active_.erase(it);
-      ++departed_;
-    }
-  }
-
-  int clamp(std::int64_t slot) const {
-    return static_cast<int>(std::min<std::int64_t>(slot, n_slots_));
-  }
-
-  static double& at(std::vector<double>& v, int i) {
-    const auto idx = static_cast<std::size_t>(i);
-    if (idx >= v.size()) v.resize(idx + 1, 0.0);
-    return v[idx];
-  }
-
-  const SimulatorConfig& sim_;
-  std::vector<double> psi_;
-  SimMetrics metrics_;
-  int n_slots_;  // -1: unbounded (live mode)
-  std::size_t series_window_;
-  WindowTally tally_;
-
-  // Bounded mode: run_stream's exact difference arrays / departure lists.
-  std::vector<double> offered_diff_, alloc_diff_;
-  std::vector<std::vector<workload::RequestId>> departures_;
-
-  // Live mode: running sums + future deltas keyed by absolute slot
-  // (erased as slots pass) and a trailing series ring — O(active leases)
-  // + O(series_window) memory regardless of uptime.
-  double offered_now_ = 0, alloc_now_ = 0;
-  std::unordered_map<std::int64_t, double> offered_delta_, alloc_delta_;
-  std::unordered_map<std::int64_t, std::vector<workload::RequestId>>
-      departures_live_;
-  std::deque<double> offered_ring_, alloc_ring_;
-
-  std::unordered_map<workload::RequestId, ActiveInfo> active_;
-  double active_cost_ = 0;  // Σ over active accepted of d·unit_cost
-
-  long decided_ = 0, accepted_ = 0, rejected_ = 0, preempted_ = 0,
-       departed_ = 0;
-};
-
-}  // namespace
 
 Server::Server(const net::SubstrateNetwork& substrate,
                const std::vector<net::Application>& apps, ServerConfig config)
@@ -372,99 +23,61 @@ Server::~Server() {
   if (running()) stop(/*drain=*/false);
 }
 
-SimMetrics Server::run_simulated(core::OnlineEmbedder& algo,
-                                 workload::TraceStream& stream) {
-  const SimulatorConfig& sim = config_.sim;
+core::SimMetrics Server::run_simulated(core::OnlineEmbedder& algo,
+                                       workload::TraceStream& stream) {
+  // The re-plan solves time themselves on the wall clock (solve_seconds),
+  // which this path must never read.
   OLIVE_REQUIRE(config_.replan.period == 0,
-                "run_simulated does not support mid-run re-planning (same "
-                "restriction as Engine::run_stream)");
-  OLIVE_REQUIRE(!sim.record_requests,
-                "run_simulated does not keep per-request records");
+                "run_simulated does not support mid-run re-planning");
   OLIVE_REQUIRE(!running(), "run_simulated while live serving is running");
 
-  // Zero wall entropy on this whole path: the only clock is simulated,
-  // starts at the epoch, and advances exactly one slot_duration per slot.
+  // Zero wall entropy on this whole path: the only clock is simulated and
+  // starts at the epoch.  No work moves it, so algo_seconds stays 0 and a
+  // run lasts exactly its slot count in slot_duration ticks.
   SimulatedClock clock;
   stats_ = ServerStats{};
-
-  SimMetrics metrics = blank_metrics(substrate_, apps_, algo.name());
-
-  // Pull until the first arrival; its slot re-bases the clock exactly like
-  // run_stream re-bases on the first non-empty slot.
-  std::vector<workload::Request> slot_buf;
-  int cur = stream.next_slot(slot_buf);
-  while (cur >= 0 && slot_buf.empty()) cur = stream.next_slot(slot_buf);
-  if (cur < 0) {  // stream carries no requests at all
-    metrics_ = metrics;
-    return metrics_;
-  }
-  const int base = cur;
-
-  int n_slots = std::max(stream.end_slot() - base, sim.measure_to);
-  if (sim.drain_slots >= 0)
-    n_slots = std::min(n_slots, sim.measure_to + sim.drain_slots);
-
-  RunCore core(sim, resolve_psi(substrate_, apps_, sim), std::move(metrics),
-               n_slots);
-
-  algo.reset();
-  const auto t0 = clock.now();
-  for (int t = 0; t < n_slots; ++t) {
-    core.depart(algo, t);
-    if (cur >= 0 && cur - base == t) {
-      core.admit(algo, t, base, slot_buf.data(), slot_buf.size(),
-                 &stats_.admission_latency, nullptr, nullptr);
-      cur = stream.next_slot(slot_buf);
-    }
-    core.accrue(t);
-    clock.advance(config_.slot_duration);  // the slot boundary, simulated
-  }
-
-  stats_.decided = core.decided();
-  stats_.accepted = core.accepted();
-  stats_.rejected = core.rejected();
-  stats_.preempted = core.preempted();
-  stats_.departed = core.departed();
-  stats_.submitted = core.decided();  // every request "arrived" in-process
-  stats_.slots = n_slots;
-  stats_.serve_seconds = seconds_between(t0, clock.now());
+  metrics_ = engine::SlotLoop(substrate_, apps_, {config_.sim, {}, {}}, algo,
+                              clock, {}, &stats_)
+                 .run(stream);
+  stats_.submitted = stats_.decided;  // every request "arrived" in-process
+  stats_.serve_seconds =
+      std::chrono::duration<double>(stats_.slots * config_.slot_duration)
+          .count();
   stats_.sustained_rps = stats_.serve_seconds > 0
                              ? static_cast<double>(stats_.decided) /
                                    stats_.serve_seconds
                              : 0.0;
-
-  metrics_ = core.finalize(algo, n_slots);
   return metrics_;
 }
 
 void Server::start(core::OnlineEmbedder& algo, Clock& clock) {
   OLIVE_REQUIRE(!running(), "server already running");
-  // Validate the re-plan config here, on the caller's thread — an invalid
-  // one would otherwise throw from the ReplanPolicy constructor inside the
-  // serving thread and terminate the process.
-  if (config_.replan.period > 0) {
-    OLIVE_REQUIRE(config_.replan.install_delay >= 1 &&
-                      config_.replan.install_delay < config_.replan.period,
-                  "replan install_delay must stay in [1, period)");
-    OLIVE_REQUIRE(config_.replan.window >= 0, "replan window must be >= 0");
-    OLIVE_REQUIRE(config_.replan.candidates >= 1,
-                  "replan candidates must be >= 1");
-    // Portfolio re-planning snapshots the embedder at every launch slot; an
-    // embedder without WorldState support would only be discovered inside
-    // the serving thread, so refuse it here like an invalid period.
-    OLIVE_REQUIRE(config_.replan.candidates == 1 || !algo.snapshot().empty(),
-                  "portfolio re-planning (candidates > 1) requires an "
-                  "embedder with world snapshot support");
-  }
+  OLIVE_REQUIRE(!config_.sim.record_requests,
+                "live serving keeps no per-request records (they would grow "
+                "without bound over the uptime)");
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  stats_ = ServerStats{};
+  // Built here, on the caller's thread, so an invalid config throws to the
+  // caller instead of terminating the process from the serving thread.
+  auto loop = std::make_unique<engine::SlotLoop>(
+      substrate_, apps_, engine::EngineConfig{config_.sim, config_.replan, {}},
+      algo, clock, std::vector<engine::Observer*>{}, &stats_,
+      config_.series_window_slots);
+  // Portfolio re-planning snapshots the embedder at every launch slot; an
+  // embedder without WorldState support would only be discovered inside
+  // the serving thread, so refuse it here as well.
+  OLIVE_REQUIRE(config_.replan.period == 0 || config_.replan.candidates == 1 ||
+                    !algo.snapshot().empty(),
+                "portfolio re-planning (candidates > 1) requires an "
+                "embedder with world snapshot support");
   stop_requested_.store(false, std::memory_order_seq_cst);
   drain_on_stop_.store(true, std::memory_order_release);
   submitted_.store(0, std::memory_order_relaxed);
   queue_rejects_.store(0, std::memory_order_relaxed);
-  stats_ = ServerStats{};
   clock_.store(&clock, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this, &algo, &clock] { serve_loop(algo, clock); });
+  thread_ = std::thread(
+      [this, loop = std::move(loop), &clock] { serve_loop(*loop, clock); });
 }
 
 Server::Submit Server::submit(const workload::Request& r) {
@@ -503,27 +116,18 @@ void Server::stop(bool drain) {
   clock_.store(nullptr, std::memory_order_release);
 }
 
-void Server::serve_loop(core::OnlineEmbedder& algo, Clock& clock) {
-  const SimulatorConfig& sim = config_.sim;
-  ServerStats st;
-  // One resolved ψ vector serves both the metrics tally (inside RunCore)
-  // and the portfolio replay scorer.
-  const std::vector<double> psi = resolve_psi(substrate_, apps_, sim);
-  RunCore core(sim, psi, blank_metrics(substrate_, apps_, algo.name()),
-               /*n_slots=*/-1, config_.series_window_slots);
-
-  engine::ReplanPolicy replan(substrate_, apps_, config_.replan);
-  const int replan_window = config_.replan.window > 0 ? config_.replan.window
-                                                      : config_.replan.period;
-  workload::Trace window;  // drained arrivals, the re-plan demand feed
-
+void Server::serve_loop(engine::SlotLoop& loop, Clock& clock) {
+  // The engine's slot loop with live accounting: no horizon until stop(),
+  // so per-slot state is freed as slots pass and the series is a trailing
+  // ring.  Re-plans aggregate the loop's own admission log, the same
+  // trailing window an engine run clips.  The loop writes its counters
+  // and latency samples into stats_.
   std::vector<workload::Request> batch;
   std::vector<Clock::time_point> enq;
   batch.reserve(config_.max_batch);
   enq.reserve(config_.max_batch);
   workload::RequestId next_id = 0;
 
-  algo.reset();
   const auto t0 = clock.now();
   // Slots are 64-bit: a live run has no horizon, and an int would overflow
   // (UB) after ~2^31 slots — about 8 months at the default 10 ms slot.
@@ -533,7 +137,7 @@ void Server::serve_loop(core::OnlineEmbedder& algo, Clock& clock) {
 
   // Pops up to max_batch queued requests into batch/enq, stamping ids and
   // the current slot (Request::arrival is an int and saturates at INT_MAX;
-  // RunCore's own bookkeeping runs on the 64-bit slot).
+  // the loop's own bookkeeping runs on the 64-bit slot).
   const auto fill_batch = [&] {
     batch.clear();
     enq.clear();
@@ -547,46 +151,10 @@ void Server::serve_loop(core::OnlineEmbedder& algo, Clock& clock) {
   };
 
   while (!stopping) {
-    // Plan hot-swap at the policy-fixed install slot, before this slot's
-    // releases and arrivals — slot t is the first slot served by the new
-    // plan, the same boundary position as the batch engine.  The wait (if
-    // the async solve is still flying) is the swap stall the histogram
-    // cannot see: admissions simply pause, so it is reported separately.
-    // The policy speaks 64-bit slots, so no part of the re-plan loop caps
-    // out with uptime (Request::arrival still saturates at INT_MAX inside
-    // fill_batch — past that the demand feed degrades gracefully: windows
-    // keep clipping, they just stop distinguishing arrival slots).
-    if (replan.pending_install_slot() == t) {
-      const auto stall_start = clock.now();
-      engine::ReplanPolicy::Result res = replan.collect();
-      const bool installed = algo.install_plan(std::move(res.plan));
-      st.swap_stall_seconds += seconds_between(stall_start, clock.now());
-      if (installed) {
-        st.plan_swaps += 1;
-        core.metrics().replans += 1;
-        core.metrics().replan_seconds += res.event.solve_seconds;
-        accumulate_solve(core.metrics(), res.event.info);
-      } else {
-        replan.disable();  // the embedder has no plan to swap
-      }
-    }
-
-    core.begin_slot(t);
-    core.depart(algo, t);
-
-    if (replan.wants_launch(t)) {
-      // Prune the demand feed to the trailing window before handing it to
-      // the policy (launch copies what it needs; the feed keeps growing
-      // while the solve flies).
-      const std::int64_t keep_from = t - replan_window;
-      std::erase_if(window, [keep_from](const workload::Request& r) {
-        return r.arrival < keep_from;
-      });
-      // Portfolio mode (candidates > 1) snapshots the live embedder here —
-      // between slots, on the serving thread, so the snapshot is a
-      // consistent world — and scores candidates with the tally's ψ.
-      replan.launch(window, /*base=*/0, t, /*capacities=*/{}, &algo, &psi);
-    }
+    // Plan swap, re-plan launch and departures at the slot boundary, in the
+    // engine's order.  A swap still waiting for its solve pauses admissions
+    // (ServerStats::swap_stall_seconds).
+    loop.begin_slot(t);
 
     // Drain until this slot's wall deadline.  If the serving thread falls
     // behind (overload), deadlines in the past make the slot advance
@@ -600,17 +168,14 @@ void Server::serve_loop(core::OnlineEmbedder& algo, Clock& clock) {
         break;
       }
       if (clock.now() >= deadline) break;
-      st.queue_high_water =
-          std::max(st.queue_high_water, queue_->approx_size());
+      stats_.queue_high_water =
+          std::max(stats_.queue_high_water, queue_->approx_size());
       fill_batch();
       if (batch.empty()) {
         clock.sleep_until(std::min(deadline, clock.now() + config_.idle_backoff));
         continue;
       }
-      if (replan.enabled())
-        window.insert(window.end(), batch.begin(), batch.end());
-      core.admit(algo, t, /*base=*/0, batch.data(), batch.size(),
-                 &st.admission_latency, enq.data(), &clock);
+      loop.admit(batch.data(), batch.size(), enq.data());
     }
 
     if (stopping) {
@@ -625,37 +190,29 @@ void Server::serve_loop(core::OnlineEmbedder& algo, Clock& clock) {
         for (;;) {
           fill_batch();
           if (batch.empty()) break;
-          core.admit(algo, t, /*base=*/0, batch.data(), batch.size(),
-                     &st.admission_latency, enq.data(), &clock);
+          loop.admit(batch.data(), batch.size(), enq.data());
         }
       } else {
         // Prompt abandon: discard the backlog undecided, but keep the
         // conservation ledger exact (decided + abandoned == submitted).
         Queued q;
-        while (queue_->try_pop(q)) ++st.abandoned;
+        while (queue_->try_pop(q)) ++stats_.abandoned;
       }
     }
 
-    core.accrue(t);
+    loop.end_slot();
     ++t;
   }
 
-  st.slots = t;
-  st.serve_seconds = seconds_between(t0, clock.now());
-  st.decided = core.decided();
-  st.accepted = core.accepted();
-  st.rejected = core.rejected();
-  st.preempted = core.preempted();
-  st.departed = core.departed();
-  st.submitted = submitted_.load(std::memory_order_relaxed);
-  st.queue_rejects = queue_rejects_.load(std::memory_order_relaxed);
-  st.sustained_rps =
-      st.serve_seconds > 0
-          ? static_cast<double>(st.decided) / st.serve_seconds
+  stats_.serve_seconds =
+      std::chrono::duration<double>(clock.now() - t0).count();
+  stats_.submitted = submitted_.load(std::memory_order_relaxed);
+  stats_.queue_rejects = queue_rejects_.load(std::memory_order_relaxed);
+  stats_.sustained_rps =
+      stats_.serve_seconds > 0
+          ? static_cast<double>(stats_.decided) / stats_.serve_seconds
           : 0.0;
-
-  metrics_ = core.finalize(algo, t);
-  stats_ = st;
+  metrics_ = loop.finish();
 }
 
 }  // namespace olive::serve

@@ -1,13 +1,14 @@
 // serve::Server — the Engine's slot loop as a long-lived service
 // (docs/serving.md).
 //
-// One slot body, two clocks:
+// The slot body is engine::SlotLoop, the same one Engine::run and
+// Engine::run_stream run; the server runs it in two ways:
 //
 //  * run_simulated(algo, stream) drives a TraceStream under an internal
 //    SimulatedClock and is bit-identical to Engine::run_stream on the same
 //    inputs (pinned by tests/serve_test.cpp) — the determinism contract
 //    extends unchanged to the serving layer;
-//  * start(algo, clock) runs the same body against wall deadlines: producer
+//  * start(algo, clock) drives the loop against wall deadlines: producer
 //    threads submit() Requests through the lock-free MPSC queue, the
 //    serving thread drains them in batches, decides each admission via the
 //    OLIVE fast path, expires leases at slot boundaries (wall deadlines),
@@ -39,6 +40,10 @@
 #include "workload/request.hpp"
 #include "workload/stream.hpp"
 
+namespace olive::engine {
+class SlotLoop;
+}  // namespace olive::engine
+
 namespace olive::serve {
 
 struct ServerConfig {
@@ -46,11 +51,12 @@ struct ServerConfig {
   /// batch engine.  Live runs are unbounded: drain_slots is ignored and
   /// the run ends at stop().
   core::SimulatorConfig sim;
-  /// Mid-run re-planning (engine::ReplanPolicy).  In live mode the trailing
-  /// demand window is the server's own record of drained arrivals; solves
-  /// run on the background ThreadPool and install at policy-fixed slots.
-  /// period == 0 (default) disables it; run_simulated requires 0, exactly
-  /// like Engine::run_stream.
+  /// Mid-run re-planning (engine::ReplanPolicy).  In live mode the demand
+  /// window is clipped from the loop's log of drained arrivals, exactly as
+  /// an engine run clips it; solves run on the background ThreadPool and
+  /// install at policy-fixed slots.  period == 0 (default) disables it;
+  /// run_simulated requires 0 (the solves time themselves on the wall
+  /// clock).
   engine::ReplanConfig replan;
   /// Admission queue capacity (rounded up to a power of two).  A full queue
   /// bounces submit() with Submit::QueueFull — explicit backpressure.
@@ -92,16 +98,17 @@ class Server {
   /// Simulation mode: drives `stream` to completion on the caller's thread
   /// under an internal SimulatedClock and returns the run's SimMetrics —
   /// bit-identical to Engine::run_stream(algo, stream) with the same
-  /// SimulatorConfig.  Same restrictions as run_stream (no re-planning, no
-  /// per-request records); reads no wall clock anywhere (algo_seconds
-  /// stays 0).  stats() is filled deterministically afterwards.
+  /// SimulatorConfig.  Refuses re-planning; reads no wall clock anywhere
+  /// (algo_seconds stays 0).  stats() is filled deterministically
+  /// afterwards.
   core::SimMetrics run_simulated(core::OnlineEmbedder& algo,
                                  workload::TraceStream& stream);
 
   /// Live mode: spawns the serving thread.  Slot t covers wall time
   /// [t0 + t·slot_duration, t0 + (t+1)·slot_duration); arrivals are
   /// stamped with the slot they are drained in, and leases expire at the
-  /// slot boundary `arrival + duration` — wall deadlines.
+  /// slot boundary `arrival + duration` — wall deadlines.  Refuses
+  /// sim.record_requests: records would grow without bound.
   void start(core::OnlineEmbedder& algo, Clock& clock);
 
   /// Hands one request to the serving thread (id and arrival slot are
@@ -136,7 +143,7 @@ class Server {
     Clock::time_point enqueued{};
   };
 
-  void serve_loop(core::OnlineEmbedder& algo, Clock& clock);
+  void serve_loop(engine::SlotLoop& loop, Clock& clock);
 
   const net::SubstrateNetwork& substrate_;
   const std::vector<net::Application>& apps_;

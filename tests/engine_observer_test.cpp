@@ -19,7 +19,7 @@ struct RecordingObserver final : Observer {
     enum Kind { SlotBegin, Outcome, Replan, Failure } kind;
     int slot = 0;
     // Outcome payload
-    int request_id = -1;
+    workload::RequestId request_id = -1;
     bool accepted = false;
     // Replan payload
     ReplanEvent replan;
@@ -68,26 +68,11 @@ core::ScenarioConfig observed_config() {
   return cfg;
 }
 
-TEST(EngineObserverHooks, OrderingCountsAndPayloadsUnderReplanAndFailures) {
-  const core::ScenarioConfig cfg = observed_config();
-  const core::Scenario sc = core::build_scenario(cfg);
-  ASSERT_FALSE(sc.failure_trace.empty());
-
-  EngineConfig ecfg;
-  ecfg.sim = cfg.sim;
-  ecfg.replan.period = 20;
-  ecfg.replan.install_delay = 2;
-  ecfg.replan.failure_burst = 5;  // bursts may add off-period launches
-  ecfg.replan.plan = cfg.plan;
-  ecfg.replan.plan.max_rounds = 6;
-  ecfg.replan.seed = cfg.seed;
-  ecfg.failures.trace = sc.failure_trace;
-  Engine engine(sc.substrate, sc.apps, ecfg);
-  RecordingObserver rec;
-  engine.add_observer(&rec);
-  core::OliveEmbedder algo(sc.substrate, sc.apps, sc.plan);
-  const core::SimMetrics metrics = engine.run(algo, sc.online);
-
+/// Checks one observed run of observed_config()'s scenario under re-plans
+/// and failures.
+void expect_hook_contracts(const core::Scenario& sc, const EngineConfig& ecfg,
+                           const RecordingObserver& rec,
+                           const core::SimMetrics& metrics) {
   using Call = RecordingObserver::Call;
   const auto slots = rec.of_kind(Call::SlotBegin);
   const auto outcomes = rec.of_kind(Call::Outcome);
@@ -116,15 +101,16 @@ TEST(EngineObserverHooks, OrderingCountsAndPayloadsUnderReplanAndFailures) {
     }
     EXPECT_EQ(c.slot, seen_slot);
     if (c.kind == Call::Outcome) outcome_seen_this_slot = true;
-    if (c.kind == Call::Replan || c.kind == Call::Failure)
+    if (c.kind == Call::Replan || c.kind == Call::Failure) {
       EXPECT_FALSE(outcome_seen_this_slot)
           << "swap/failure after an outcome in slot " << seen_slot;
+    }
   }
 
   // --- on_outcome: one call per processed arrival, in trace order, with
   // accepted() matching the metrics totals.
   const int base = sc.online.front().arrival;
-  std::vector<int> expected_ids;
+  std::vector<workload::RequestId> expected_ids;
   for (const auto& r : sc.online)
     if (r.arrival - base < static_cast<int>(slots.size()))
       expected_ids.push_back(r.id);
@@ -195,6 +181,35 @@ TEST(EngineObserverHooks, OrderingCountsAndPayloadsUnderReplanAndFailures) {
   EXPECT_EQ(batched, metrics.repairs_batched);
   EXPECT_GT(hit, 0);
   EXPECT_GT(migrated, 0);
+}
+
+TEST(EngineObserverHooks, OrderingCountsAndPayloadsUnderReplanAndFailures) {
+  const core::ScenarioConfig cfg = observed_config();
+  const core::Scenario sc = core::build_scenario(cfg);
+  ASSERT_FALSE(sc.failure_trace.empty());
+
+  EngineConfig ecfg;
+  ecfg.sim = cfg.sim;
+  ecfg.replan.period = 20;
+  ecfg.replan.install_delay = 2;
+  ecfg.replan.failure_burst = 5;  // bursts may add off-period launches
+  ecfg.replan.plan = cfg.plan;
+  ecfg.replan.plan.max_rounds = 6;
+  ecfg.replan.seed = cfg.seed;
+  ecfg.failures.trace = sc.failure_trace;
+  // The materialized and the streamed drive run the same slot loop.
+  for (const bool streamed : {false, true}) {
+    SCOPED_TRACE(streamed ? "run_stream" : "run");
+    Engine engine(sc.substrate, sc.apps, ecfg);
+    RecordingObserver rec;
+    engine.add_observer(&rec);
+    core::OliveEmbedder algo(sc.substrate, sc.apps, sc.plan);
+    workload::VectorTraceStream stream(sc.online, cfg.trace.horizon);
+    const core::SimMetrics metrics = streamed
+                                         ? engine.run_stream(algo, stream)
+                                         : engine.run(algo, sc.online);
+    expect_hook_contracts(sc, ecfg, rec, metrics);
+  }
 }
 
 TEST(EngineObserverHooks, ObserversDoNotPerturbFailureRuns) {

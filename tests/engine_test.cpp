@@ -1,9 +1,8 @@
-// The engine redesign's contracts: Engine-driven runs are bit-identical to
-// the legacy run_online/run_slotoff wrappers when re-planning is off, the
-// EmbedderRegistry resolves the built-ins (and one-file plugins) by name,
-// observers see every slot and outcome without perturbing the run, and on
-// the drifting-utilization scenario the asynchronous ReplanPolicy beats the
-// static plan.
+// The engine's contracts: the EmbedderRegistry resolves the built-ins (and
+// one-file plugins) by name, observers see every slot and outcome without
+// perturbing the run, on the drifting-utilization scenario the asynchronous
+// ReplanPolicy beats the static plan, and every re-plan window clipped from
+// the slot loop's admission log equals the clip of the full trace.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +15,7 @@
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
 #include "engine/registry.hpp"
+#include "engine/slot_loop.hpp"
 #include "net/embedding.hpp"
 
 namespace olive::engine {
@@ -59,52 +59,6 @@ void expect_metrics_identical(const core::SimMetrics& a,
   EXPECT_EQ(a.plan_refactorizations, b.plan_refactorizations);
   EXPECT_EQ(a.plan_eta_length_max, b.plan_eta_length_max);
   EXPECT_EQ(a.replans, b.replans);
-}
-
-TEST(EngineEquivalence, RequestDrivenRunsMatchLegacyRunOnline) {
-  const core::Scenario sc = core::build_scenario(small_config());
-  // OLIVE (plan-driven) and QuickG (empty plan) both walk the identical
-  // event loop; with ReplanPolicy off the engine must be bit-identical to
-  // the legacy driver.
-  for (const bool quickg : {false, true}) {
-    core::OliveEmbedder legacy_algo(sc.substrate, sc.apps,
-                                    quickg ? core::Plan::empty() : sc.plan,
-                                    quickg ? "QuickG" : "OLIVE");
-    const core::SimMetrics legacy = core::run_online(
-        sc.substrate, sc.apps, sc.online, legacy_algo, sc.config.sim);
-
-    core::OliveEmbedder engine_algo(sc.substrate, sc.apps,
-                                    quickg ? core::Plan::empty() : sc.plan,
-                                    quickg ? "QuickG" : "OLIVE");
-    Engine engine(sc.substrate, sc.apps, EngineConfig{sc.config.sim, {}, {}});
-    const core::SimMetrics direct = engine.run(engine_algo, sc.online);
-    expect_metrics_identical(legacy, direct);
-  }
-}
-
-TEST(EngineEquivalence, SlotOffRunMatchesLegacyRunSlotOff) {
-  const core::Scenario sc = core::build_scenario(small_config());
-  workload::Trace window;
-  const int base = sc.online.empty() ? 0 : sc.online.front().arrival;
-  for (const auto& r : sc.online)
-    if (r.arrival - base < 12) window.push_back(r);
-  ASSERT_FALSE(window.empty());
-
-  core::SlotOffConfig so;
-  so.sim = sc.config.sim;
-  so.sim.measure_from = 0;
-  so.sim.measure_to = 12;
-  so.sim.drain_slots = 0;
-  so.plan = sc.config.plan;
-  so.plan.max_rounds = 8;
-  const core::SimMetrics legacy =
-      core::run_slotoff(sc.substrate, sc.apps, window, so);
-  ASSERT_GT(legacy.plan_solves, 0);
-
-  Engine engine(sc.substrate, sc.apps, EngineConfig{so.sim, {}, {}});
-  const core::SimMetrics direct =
-      engine.run_slotoff(window, so.plan, so.warm_start);
-  expect_metrics_identical(legacy, direct);
 }
 
 TEST(Registry, KnowsTheBuiltins) {
@@ -313,6 +267,12 @@ TEST(ClipWindow, DepartureExactlyAtWindowStartIsExcluded) {
   EXPECT_EQ(clipped[0].id, 2);
   EXPECT_EQ(clipped[0].arrival, 0);   // re-based to window coordinates
   EXPECT_EQ(clipped[0].duration, 1);  // only the overlap survives
+
+  // The admission log drops exactly the request the clip excludes.
+  workload::Trace log = trace;
+  trim_admission_log(log, /*base=*/0, /*from=*/10);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].id, 2);
 }
 
 TEST(ClipWindow, PreWindowArrivalIsClippedToTheOverlap) {
@@ -329,6 +289,17 @@ TEST(ClipWindow, PreWindowArrivalIsClippedToTheOverlap) {
   EXPECT_EQ(clipped[1].id, 2);
   EXPECT_EQ(clipped[1].arrival, 2);
   EXPECT_EQ(clipped[1].duration, 3);
+
+  // The admission log keeps the pre-window arrival that is still active
+  // (pruning by arrival slot would lose it), and it clips the same way.
+  workload::Trace log = trace;
+  trim_admission_log(log, /*base=*/0, /*from=*/10);
+  ASSERT_EQ(log.size(), 3u);
+  const workload::Trace from_log = clip_window(log, 0, 10, 20);
+  ASSERT_EQ(from_log.size(), 2u);
+  EXPECT_EQ(from_log[0].id, 1);
+  EXPECT_EQ(from_log[0].arrival, 0);
+  EXPECT_EQ(from_log[0].duration, 10);
 }
 
 TEST(ClipWindow, RespectsTraceBaseAnd64BitSlots) {
@@ -341,6 +312,61 @@ TEST(ClipWindow, RespectsTraceBaseAnd64BitSlots) {
   EXPECT_EQ(clipped[0].id, 2);
   EXPECT_EQ(clipped[0].arrival, 1);
   EXPECT_EQ(clipped[0].duration, 3);  // departure 19 clips at slot 18
+}
+
+// On a drifted Iris run with a K = 4 portfolio, the window every launch
+// clips — the baseline's and the half-length one of candidate 2 — is the
+// same from the slot loop's trimmed admission log as from the full trace.
+// The check runs at each install, the first boundary after the launch: the
+// log has only grown by the launch slot's own arrivals, which the clip
+// excludes.
+TEST(EngineReplan, AdmissionLogClipsLikeTheFullTraceAtEveryLaunch) {
+  const core::ScenarioConfig cfg = drifting_config();
+  const core::Scenario sc = core::build_scenario(cfg);
+  EngineConfig ecfg{cfg.sim, drifting_replan(cfg), {}};
+  ecfg.replan.candidates = 4;
+  const int period = ecfg.replan.period;
+
+  struct LogCheck final : Observer {
+    const SlotLoop* loop = nullptr;
+    const workload::Trace* trace = nullptr;
+    int base = 0;
+    int period = 0;
+    std::vector<std::int64_t> launches;
+
+    void on_replan(const ReplanEvent& event) override {
+      const std::int64_t launch = event.launch_slot;
+      launches.push_back(launch);
+      const workload::Trace& log = loop->admission_log();
+      for (const int window : {period, period / 2}) {
+        const std::int64_t from = std::max<std::int64_t>(0, launch - window);
+        const workload::Trace a = clip_window(log, base, from, launch);
+        const workload::Trace b = clip_window(*trace, base, from, launch);
+        ASSERT_EQ(a.size(), b.size()) << "launch " << launch;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          EXPECT_EQ(a[i].id, b[i].id);
+          EXPECT_EQ(a[i].arrival, b[i].arrival);
+          EXPECT_EQ(a[i].duration, b[i].duration);
+        }
+      }
+      // Trimmed to the launch's widest window: nothing older stays.
+      for (const auto& r : log)
+        EXPECT_GT(r.departure() - base, launch - period) << "request " << r.id;
+    }
+  } check;
+  check.trace = &sc.online;
+  check.base = sc.online.front().arrival;
+  check.period = period;
+
+  serve::SteadyClock clock;
+  core::OliveEmbedder algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
+  SlotLoop loop(sc.substrate, sc.apps, ecfg, algo, clock, {&check});
+  check.loop = &loop;
+  workload::VectorTraceStream stream(sc.online);
+  const core::SimMetrics m = loop.run(stream);
+
+  EXPECT_EQ(m.replans, 2);
+  EXPECT_EQ(check.launches, (std::vector<std::int64_t>{100, 200}));
 }
 
 // ------------------------------------------------- portfolio re-planning

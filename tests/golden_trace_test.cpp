@@ -26,8 +26,15 @@ void expect_rel_eq(double expected, double actual, const char* what) {
   EXPECT_NEAR(expected, actual, std::abs(expected) * kRelTol) << what;
 }
 
-SlotOffConfig golden_config() {
-  SlotOffConfig so;
+/// The SLOTOFF run settings every golden test varies.
+struct GoldenConfig {
+  SimulatorConfig sim;
+  PlanVneConfig plan;
+  bool warm_start = true;
+};
+
+GoldenConfig golden_config() {
+  GoldenConfig so;
   so.sim.measure_from = 0;
   so.sim.measure_to = 10;
   so.sim.drain_slots = 0;
@@ -71,6 +78,11 @@ GoldenScenario golden_scenario() {
   return g;
 }
 
+SimMetrics run_golden(const GoldenScenario& g, const GoldenConfig& so) {
+  engine::Engine eng(g.substrate, g.apps, engine::EngineConfig{so.sim, {}, {}});
+  return eng.run_slotoff(g.trace, so.plan, so.warm_start);
+}
+
 void expect_golden_outcomes(const SimMetrics& m) {
   // Outcome tallies (exact).
   EXPECT_EQ(m.offered, 13);
@@ -101,7 +113,7 @@ void expect_golden_outcomes(const SimMetrics& m) {
 
 TEST(GoldenTrace, SlotOffTenSlotIrisWindow) {
   const GoldenScenario g = golden_scenario();
-  const SimMetrics m = run_slotoff(g.substrate, g.apps, g.trace, golden_config());
+  const SimMetrics m = run_golden(g, golden_config());
   expect_golden_outcomes(m);
   // Basis warm starts: the first slot is necessarily cold; every later slot
   // re-starts from the previous optimal basis and the pivot count drops by
@@ -111,12 +123,12 @@ TEST(GoldenTrace, SlotOffTenSlotIrisWindow) {
 }
 
 TEST(GoldenTrace, EngineDrivenSlotOffReproducesTheGoldenWindow) {
-  // The engine redesign's equivalence contract: driving the same window
-  // through engine::Engine directly (the code path run_slotoff wraps)
-  // reproduces every golden number bit-for-bit while ReplanPolicy is off.
+  // An observer watches the window without changing a golden number.
   const GoldenScenario g = golden_scenario();
-  const SlotOffConfig so = golden_config();
+  const GoldenConfig so = golden_config();
   engine::Engine eng(g.substrate, g.apps, engine::EngineConfig{so.sim, {}, {}});
+  engine::Observer passive;
+  eng.add_observer(&passive);
   const SimMetrics m = eng.run_slotoff(g.trace, so.plan, so.warm_start);
   expect_golden_outcomes(m);
   EXPECT_EQ(m.plan_warm_start_hits, 9);
@@ -125,9 +137,9 @@ TEST(GoldenTrace, EngineDrivenSlotOffReproducesTheGoldenWindow) {
 
 TEST(GoldenTrace, ColdStartsReproduceTheSameWindowWithMorePivots) {
   const GoldenScenario g = golden_scenario();
-  SlotOffConfig so = golden_config();
+  GoldenConfig so = golden_config();
   so.warm_start = false;
-  const SimMetrics m = run_slotoff(g.substrate, g.apps, g.trace, so);
+  const SimMetrics m = run_golden(g, so);
   // Identical outcomes, costs, and per-slot LP objective sums — the warm
   // start changes only where the simplex starts, never where it ends.
   expect_golden_outcomes(m);
@@ -141,11 +153,11 @@ TEST(GoldenTrace, PricingModesReproduceTheSameWindow) {
   // per-slot rounding trajectory and the golden numbers pin both.
   for (const bool partial : {false, true}) {
     const GoldenScenario g = golden_scenario();
-    SlotOffConfig so = golden_config();
+    GoldenConfig so = golden_config();
     so.plan.lp.partial_pricing = partial;
     so.plan.lp.partial_pricing_min_cols = 0;  // engage the list everywhere
     so.plan.lp.candidate_list_size = 8;
-    const SimMetrics m = run_slotoff(g.substrate, g.apps, g.trace, so);
+    const SimMetrics m = run_golden(g, so);
     expect_golden_outcomes(m);
   }
 }
@@ -158,9 +170,9 @@ TEST(GoldenTrace, BasisModesReproduceTheSameWindow) {
   // FTRAN images, so a degenerate ratio-test tie may resolve differently
   // on another compiler/arch without changing any outcome.
   const GoldenScenario g = golden_scenario();
-  SlotOffConfig so = golden_config();
+  GoldenConfig so = golden_config();
   so.plan.lp.basis = lp::BasisKind::Dense;
-  const SimMetrics m = run_slotoff(g.substrate, g.apps, g.trace, so);
+  const SimMetrics m = run_golden(g, so);
   expect_golden_outcomes(m);
   EXPECT_EQ(m.plan_warm_start_hits, 9);
 }

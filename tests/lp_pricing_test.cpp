@@ -185,10 +185,13 @@ TEST(SimplexPricing, DualsAgreeBetweenPricingModes) {
       double rc = m.col_cost(c);
       for (const auto& [r, v] : m.col(c)) rc -= res.duals[r] * v;
       // Columns at lower bound must have rc >= -tol at a minimum.
-      if (res.x[c] <= m.col_lo(c) + 1e-9) EXPECT_GE(rc, -1e-6);
+      if (res.x[c] <= m.col_lo(c) + 1e-9) {
+        EXPECT_GE(rc, -1e-6);
+      }
       // Columns strictly inside their bounds must price to ~0.
-      if (res.x[c] > m.col_lo(c) + 1e-6 && res.x[c] < m.col_up(c) - 1e-6)
+      if (res.x[c] > m.col_lo(c) + 1e-6 && res.x[c] < m.col_up(c) - 1e-6) {
         EXPECT_NEAR(rc, 0.0, 1e-6);
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/olive.hpp"
@@ -129,15 +130,15 @@ TEST_P(ParallelDeterminismTest, SlotOffWindowProducesIdenticalSimMetrics) {
   ASSERT_FALSE(window.empty());
 
   const auto run_window = [&](int threads) {
-    SlotOffConfig so;
-    so.sim = sc.config.sim;
-    so.sim.measure_from = 0;
-    so.sim.measure_to = 12;
-    so.sim.drain_slots = 0;
-    so.plan = sc.config.plan;
-    so.plan.max_rounds = 8;
-    so.plan.threads = threads;
-    return run_slotoff(sc.substrate, sc.apps, window, so);
+    SimulatorConfig sim = sc.config.sim;
+    sim.measure_from = 0;
+    sim.measure_to = 12;
+    sim.drain_slots = 0;
+    PlanVneConfig plan = sc.config.plan;
+    plan.max_rounds = 8;
+    plan.threads = threads;
+    engine::Engine eng(sc.substrate, sc.apps, {sim, {}, {}});
+    return eng.run_slotoff(window, plan);
   };
 
   const SimMetrics serial = run_window(1);
@@ -173,7 +174,9 @@ TEST(ReplanDeterminism, EngineRunBitIdenticalAcrossThreadCounts) {
   cfg.sim.drain_slots = 10;
   const Scenario sc = build_scenario(cfg);
 
-  const auto run_with_threads = [&](int threads) {
+  // `streamed`: the same slot loop fed by Engine::run_stream, whose async
+  // re-plan path this sweep also covers.
+  const auto run_with_threads = [&](int threads, bool streamed) {
     engine::EngineConfig ecfg;
     ecfg.sim = cfg.sim;
     ecfg.replan.period = 20;
@@ -183,13 +186,17 @@ TEST(ReplanDeterminism, EngineRunBitIdenticalAcrossThreadCounts) {
     ecfg.replan.seed = cfg.seed;
     engine::Engine eng(sc.substrate, sc.apps, ecfg);
     OliveEmbedder algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
-    return eng.run(algo, sc.online);
+    if (!streamed) return eng.run(algo, sc.online);
+    workload::VectorTraceStream stream(sc.online, cfg.trace.horizon);
+    return eng.run_stream(algo, stream);
   };
 
-  const SimMetrics serial = run_with_threads(1);
+  const SimMetrics serial = run_with_threads(1, false);
   ASSERT_GT(serial.replans, 0);
-  for (const int threads : {4}) {
-    const SimMetrics parallel = run_with_threads(threads);
+  for (const auto& [threads, streamed] :
+       {std::pair{4, false}, std::pair{1, true}, std::pair{4, true}}) {
+    SCOPED_TRACE(streamed ? "run_stream" : "run");
+    const SimMetrics parallel = run_with_threads(threads, streamed);
     EXPECT_EQ(serial.offered, parallel.offered) << threads;
     EXPECT_EQ(serial.accepted, parallel.accepted) << threads;
     EXPECT_EQ(serial.rejected, parallel.rejected) << threads;

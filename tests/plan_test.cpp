@@ -298,7 +298,9 @@ TEST(PlanVne, ColumnCacheLruEvictionKeepsSolvesOptimal) {
         << "round " << round;
     expect_plan_feasible(s, plan);
     EXPECT_LE(cache.total_columns(), cache.max_columns()) << "round " << round;
-    if (round > 0) EXPECT_TRUE(info.warm_start_attempted);
+    if (round > 0) {
+      EXPECT_TRUE(info.warm_start_attempted);
+    }
   }
 
   // The default budget is far above anything a small topology generates:

@@ -297,6 +297,18 @@ TEST_F(LiveServer, ConcurrentStopCallsAreSafeAndIdempotent) {
   EXPECT_EQ(st.decided, st.submitted);
 }
 
+TEST_F(LiveServer, StartRefusesPerRequestRecords) {
+  // Live records would grow with the uptime, so start() refuses them on
+  // the caller's thread instead of silently ignoring the flag.
+  serve::ServerConfig scfg;
+  scfg.sim.record_requests = true;
+  serve::Server server(substrate_, apps_, scfg);
+  core::OliveEmbedder algo(substrate_, apps_, core::Plan::empty(), "QuickG");
+  serve::SteadyClock clock;
+  EXPECT_THROW(server.start(algo, clock), InvalidArgument);
+  EXPECT_FALSE(server.running());
+}
+
 TEST_F(LiveServer, PlanHotSwapLandsUnderLoad) {
   core::ScenarioConfig cfg;
   cfg.topology = "Iris";

@@ -135,6 +135,14 @@ void expect_metrics_identical(const core::SimMetrics& a,
   EXPECT_EQ(a.allocated_series, b.allocated_series);
   EXPECT_EQ(a.rejected_by_node_app, b.rejected_by_node_app);
   EXPECT_EQ(a.requests_by_node, b.requests_by_node);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    EXPECT_EQ(a.records[i].id, b.records[i].id) << "record " << i;
+    EXPECT_EQ(a.records[i].arrival, b.records[i].arrival) << "record " << i;
+    EXPECT_EQ(a.records[i].kind, b.records[i].kind) << "record " << i;
+    EXPECT_EQ(a.records[i].preempted_at, b.records[i].preempted_at)
+        << "record " << i;
+  }
 }
 
 class ServeEquivalence : public ::testing::Test {
@@ -189,6 +197,7 @@ TEST_F(ServeEquivalence, SimulatedServerBitIdenticalToRunStreamOnMmpp) {
 
 TEST_F(ServeEquivalence, SimulatedServerBitIdenticalToRunStreamOnCaida) {
   const workload::CaidaConfig caida;
+  sim_.record_requests = true;  // the simulated server keeps them too
   Rng a(400), b(400);
   workload::CaidaTraceStream s1(substrate_, apps_, config_, caida, a);
   const core::SimMetrics engine_m = engine_run(s1);
@@ -196,6 +205,7 @@ TEST_F(ServeEquivalence, SimulatedServerBitIdenticalToRunStreamOnCaida) {
   const core::SimMetrics serve_m = server_run(s2);
   expect_metrics_identical(engine_m, serve_m);
   EXPECT_GT(engine_m.offered, 0);
+  EXPECT_FALSE(serve_m.records.empty());
 }
 
 TEST_F(ServeEquivalence, TwoSimulatedRunsAreBitIdentical) {

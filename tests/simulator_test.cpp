@@ -6,6 +6,7 @@
 #include "core/olive.hpp"
 #include "core/scenario.hpp"
 #include "core/simulator.hpp"
+#include "engine/engine.hpp"
 #include "util/error.hpp"
 
 namespace olive::core {
@@ -47,7 +48,7 @@ TEST(RunOnline, CountsAndCostsOnTinyTrace) {
   cfg.measure_from = 0;
   cfg.measure_to = 10;
   cfg.psi_per_app = {10.0};
-  const auto m = run_online(s, apps, trace, algo, cfg);
+  const auto m = engine::Engine(s, apps, {cfg, {}, {}}).run(algo, trace);
 
   EXPECT_EQ(m.offered, 2);
   EXPECT_EQ(m.accepted, 2);
@@ -72,7 +73,7 @@ TEST(RunOnline, RejectionCostUsesFullDuration) {
   cfg.measure_from = 0;
   cfg.measure_to = 20;
   cfg.psi_per_app = {10.0};
-  const auto m = run_online(s, apps, trace, algo, cfg);
+  const auto m = engine::Engine(s, apps, {cfg, {}, {}}).run(algo, trace);
   EXPECT_EQ(m.accepted, 1);
   EXPECT_EQ(m.rejected, 1);
   // Ψ(r) = ψ·d·T = 10 * 3 * 7.
@@ -89,7 +90,7 @@ TEST(RunOnline, WindowExcludesOutsideArrivals) {
   SimulatorConfig cfg;
   cfg.measure_from = 4;
   cfg.measure_to = 8;
-  const auto m = run_online(s, apps, trace, algo, cfg);
+  const auto m = engine::Engine(s, apps, {cfg, {}, {}}).run(algo, trace);
   EXPECT_EQ(m.offered, 1);  // only the request arriving at slot 5
 }
 
@@ -102,7 +103,7 @@ TEST(RunOnline, TraceRebasedToFirstArrival) {
   SimulatorConfig cfg;
   cfg.measure_from = 0;
   cfg.measure_to = 10;
-  const auto m = run_online(s, apps, trace, algo, cfg);
+  const auto m = engine::Engine(s, apps, {cfg, {}, {}}).run(algo, trace);
   EXPECT_EQ(m.offered, 2);
   EXPECT_EQ(m.accepted, 2);
 }
@@ -135,7 +136,7 @@ TEST(RunOnline, PreemptionChargedAsRejection) {
   cfg.measure_to = 20;
   cfg.psi_per_app = {1.0};
   cfg.record_requests = true;
-  const auto m = run_online(s, apps, trace, algo, cfg);
+  const auto m = engine::Engine(s, apps, {cfg, {}, {}}).run(algo, trace);
   EXPECT_EQ(m.preempted, 1);
   EXPECT_EQ(m.accepted, 1);
   EXPECT_EQ(m.rejected, 0);
@@ -154,11 +155,12 @@ TEST(RunSlotOff, AcceptsEverythingWhenCapacityAmple) {
   const auto s = pair_network(100.0);
   const auto apps = unit_app();
   workload::Trace trace{req(0, 0, 3, 2.0), req(1, 1, 3, 3.0)};
-  SlotOffConfig cfg;
-  cfg.sim.measure_from = 0;
-  cfg.sim.measure_to = 10;
-  cfg.sim.psi_per_app = {10.0};
-  const auto m = run_slotoff(s, apps, trace, cfg);
+  SimulatorConfig cfg;
+  cfg.measure_from = 0;
+  cfg.measure_to = 10;
+  cfg.psi_per_app = {10.0};
+  const auto m =
+      engine::Engine(s, apps, {cfg, {}, {}}).run_slotoff(trace, {});
   EXPECT_EQ(m.offered, 2);
   EXPECT_EQ(m.accepted, 2);
   EXPECT_EQ(m.rejected, 0);
@@ -170,11 +172,12 @@ TEST(RunSlotOff, RejectsOverflowNeverReconsiders) {
   const auto apps = unit_app();
   // Two simultaneous requests of demand 3: only one fits (host cap 5).
   workload::Trace trace{req(0, 0, 4, 3.0), req(1, 0, 4, 3.0)};
-  SlotOffConfig cfg;
-  cfg.sim.measure_from = 0;
-  cfg.sim.measure_to = 10;
-  cfg.sim.psi_per_app = {100.0};
-  const auto m = run_slotoff(s, apps, trace, cfg);
+  SimulatorConfig cfg;
+  cfg.measure_from = 0;
+  cfg.measure_to = 10;
+  cfg.psi_per_app = {100.0};
+  const auto m =
+      engine::Engine(s, apps, {cfg, {}, {}}).run_slotoff(trace, {});
   EXPECT_EQ(m.offered, 2);
   EXPECT_EQ(m.accepted + m.rejected + m.preempted, 2);
   EXPECT_GE(m.rejected, 1);
@@ -187,10 +190,11 @@ TEST(RunSlotOff, OngoingRequestsMayBeReallocated) {
   const auto s = pair_network(50.0);
   const auto apps = unit_app();
   workload::Trace trace{req(0, 0, 2, 5.0), req(1, 1, 2, 7.0), req(2, 2, 2, 2.0)};
-  SlotOffConfig cfg;
-  cfg.sim.measure_from = 0;
-  cfg.sim.measure_to = 10;
-  const auto m = run_slotoff(s, apps, trace, cfg);
+  SimulatorConfig cfg;
+  cfg.measure_from = 0;
+  cfg.measure_to = 10;
+  const auto m =
+      engine::Engine(s, apps, {cfg, {}, {}}).run_slotoff(trace, {});
   EXPECT_EQ(m.accepted, 3);
   EXPECT_DOUBLE_EQ(m.allocated_series[0], 5.0);
   EXPECT_DOUBLE_EQ(m.allocated_series[1], 12.0);

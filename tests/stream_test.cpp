@@ -1,13 +1,14 @@
 // The scale_xl streaming contracts (workload/stream.hpp, Engine::run_stream):
 // with the same seed, the streamed and materialized trace paths are
 // bit-identical — identical request vectors from the generators, identical
-// SimMetrics from the engine — and the CAIDA generator is deterministic
-// across identical RNG forks.
+// SimMetrics from the engine, failures, re-plans and records included — and
+// the CAIDA generator is deterministic across identical RNG forks.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/olive.hpp"
+#include "core/scenario.hpp"
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
 #include "topo/topologies.hpp"
@@ -33,7 +34,7 @@ void expect_traces_identical(const workload::Trace& a,
 }
 
 /// Bitwise equality over every deterministic SimMetrics field (wall-clock
-/// fields excluded).
+/// fields and the thread-dependent fast-path counters excluded).
 void expect_metrics_identical(const core::SimMetrics& a,
                               const core::SimMetrics& b) {
   EXPECT_EQ(a.algorithm, b.algorithm);
@@ -49,6 +50,35 @@ void expect_metrics_identical(const core::SimMetrics& a,
   EXPECT_EQ(a.allocated_series, b.allocated_series);
   EXPECT_EQ(a.rejected_by_node_app, b.rejected_by_node_app);
   EXPECT_EQ(a.requests_by_node, b.requests_by_node);
+  EXPECT_EQ(a.plan_solves, b.plan_solves);
+  EXPECT_EQ(a.plan_simplex_iterations, b.plan_simplex_iterations);
+  EXPECT_EQ(a.plan_rounds, b.plan_rounds);
+  EXPECT_EQ(a.plan_columns_generated, b.plan_columns_generated);
+  EXPECT_EQ(a.plan_objective_sum, b.plan_objective_sum);
+  EXPECT_EQ(a.plan_warm_start_hits, b.plan_warm_start_hits);
+  EXPECT_EQ(a.plan_refactorizations, b.plan_refactorizations);
+  EXPECT_EQ(a.plan_eta_length_max, b.plan_eta_length_max);
+  EXPECT_EQ(a.replans, b.replans);
+  EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.failure_hit, b.failure_hit);
+  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(a.sla_violations, b.sla_violations);
+  EXPECT_EQ(a.repairs_patched, b.repairs_patched);
+  EXPECT_EQ(a.repairs_reembedded, b.repairs_reembedded);
+  EXPECT_EQ(a.repairs_batched, b.repairs_batched);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    const core::RequestRecord& x = a.records[i];
+    const core::RequestRecord& y = b.records[i];
+    EXPECT_EQ(x.id, y.id) << "record " << i;
+    EXPECT_EQ(x.arrival, y.arrival) << "record " << i;
+    EXPECT_EQ(x.duration, y.duration) << "record " << i;
+    EXPECT_EQ(x.app, y.app) << "record " << i;
+    EXPECT_EQ(x.ingress, y.ingress) << "record " << i;
+    EXPECT_EQ(x.demand, y.demand) << "record " << i;
+    EXPECT_EQ(x.kind, y.kind) << "record " << i;
+    EXPECT_EQ(x.preempted_at, y.preempted_at) << "record " << i;
+  }
 }
 
 class StreamFixture : public ::testing::Test {
@@ -138,6 +168,61 @@ TEST_F(StreamFixture, RunStreamBitIdenticalToRun) {
     workload::MmppTraceStream stream(substrate_, apps_, config_, b);
     const core::SimMetrics m = eng.run_stream(algo, stream);
     expect_metrics_identical(run_metrics, m);
+  }
+
+  // The stateful modes on a drifting, failing Iris scenario: a failure
+  // trace with batched repair, drift re-planning at K = 1 and K = 4, and
+  // per-request records — streamed exactly as materialized.
+  core::ScenarioConfig scfg;
+  scfg.topology = "Iris";
+  scfg.seed = 7;
+  scfg.drift = 1.5;
+  scfg.trace.horizon = 400;
+  scfg.trace.plan_slots = 300;
+  scfg.sim.measure_from = 10;
+  scfg.sim.measure_to = 60;
+  scfg.sim.drain_slots = 20;
+  scfg.failures.node_mtbf = 200;
+  scfg.failures.link_mtbf = 400;
+  scfg.failures.repair_mean = 15;
+  const core::Scenario sc = core::build_scenario(scfg);
+  ASSERT_FALSE(sc.failure_trace.empty());
+  enum Mode { kFailures, kReplan, kPortfolio, kRecords };
+  for (const Mode mode : {kFailures, kReplan, kPortfolio, kRecords}) {
+    SCOPED_TRACE(mode);
+    engine::EngineConfig mc;
+    mc.sim = scfg.sim;
+    if (mode == kFailures) {
+      mc.failures.trace = sc.failure_trace;
+      mc.failures.repair = core::RepairPolicy::Batched;
+    } else if (mode == kRecords) {
+      mc.sim.record_requests = true;
+    } else {
+      mc.replan.period = 20;
+      mc.replan.plan = scfg.plan;
+      mc.replan.plan.max_rounds = 6;
+      mc.replan.seed = scfg.seed;
+      mc.replan.candidates = mode == kReplan ? 1 : 4;
+    }
+    engine::Engine mode_eng(sc.substrate, sc.apps, mc);
+    core::OliveEmbedder ran_algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
+    const core::SimMetrics ran = mode_eng.run(ran_algo, sc.online);
+    core::OliveEmbedder algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
+    workload::VectorTraceStream stream(sc.online, scfg.trace.horizon);
+    const core::SimMetrics streamed = mode_eng.run_stream(algo, stream);
+    expect_metrics_identical(ran, streamed);
+    switch (mode) {
+      case kFailures:
+        EXPECT_GT(ran.migrations, 0);
+        break;
+      case kReplan:
+      case kPortfolio:
+        EXPECT_GT(ran.replans, 0);
+        break;
+      case kRecords:
+        EXPECT_FALSE(ran.records.empty());
+        break;
+    }
   }
 }
 
