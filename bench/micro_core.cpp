@@ -1,5 +1,6 @@
 // Micro-benchmarks of the core primitives (google-benchmark): the tree-DP
-// pricing oracle, GREEDYEMBED's one-Dijkstra search, per-request OLIVE
+// pricing oracle, GREEDYEMBED's one-Dijkstra search (literal and bounded
+// CollocatedSearch), per-request OLIVE
 // embedding, and full PLAN-VNE solves per topology — the numbers behind the
 // paper's "1000 requests per second" scalability claim (§IV-B Runtime).
 #include <benchmark/benchmark.h>
@@ -35,16 +36,44 @@ void BM_TreeDpEmbedding(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeDpEmbedding);
 
+// GREEDYEMBED's inputs: Iris app 0 from ingress 10 at demand 5.0, against
+// the empty substrate (arg 0) or the residuals left once OLIVE has admitted
+// the first 2000 online requests (arg 1), where the bounded search stops
+// short of a full Dijkstra.
+struct GreedyInputs {
+  core::Scenario sc = make_scenario("Iris");
+  core::LoadTracker load{sc.substrate};
+
+  explicit GreedyInputs(bool loaded) {
+    if (!loaded) return;
+    core::OliveEmbedder olive(sc.substrate, sc.apps, sc.plan);
+    for (std::size_t i = 0; i < 2000 && i < sc.online.size(); ++i)
+      olive.embed(sc.online[i]);
+    load = olive.load();
+  }
+};
+
 void BM_GreedyCollocatedEmbedding(benchmark::State& state) {
-  const auto sc = make_scenario("Iris");
-  core::LoadTracker load(sc.substrate);
+  const GreedyInputs in(state.range(0) != 0);
   for (auto _ : state) {
     const auto emb = core::greedy_collocated_embedding(
-        sc.substrate, sc.apps[0].topology, 10, 5.0, load);
+        in.sc.substrate, in.sc.apps[0].topology, 10, 5.0, in.load);
     benchmark::DoNotOptimize(emb);
   }
+  state.SetLabel(state.range(0) ? "loaded" : "empty");
 }
-BENCHMARK(BM_GreedyCollocatedEmbedding);
+BENCHMARK(BM_GreedyCollocatedEmbedding)->Arg(0)->Arg(1);
+
+void BM_CollocatedSearch(benchmark::State& state) {
+  const GreedyInputs in(state.range(0) != 0);
+  const core::CollocatedSearch search(in.sc.substrate, in.sc.apps);
+  for (auto _ : state) {
+    const auto emb = search.embed(0, 10, 5.0, in.load);
+    benchmark::DoNotOptimize(emb);
+  }
+  state.SetLabel(state.range(0) ? "loaded" : "empty");
+}
+BENCHMARK(BM_CollocatedSearch)->Arg(0)->Arg(1);
 
 void BM_OlivePerRequest(benchmark::State& state) {
   const auto sc = make_scenario("Iris");

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 
@@ -247,14 +249,6 @@ std::optional<net::Embedding> capacitated_min_cost_tree_embedding(
 std::optional<net::Embedding> greedy_collocated_embedding(
     const net::SubstrateNetwork& s, const net::VirtualNetwork& vn,
     net::NodeId ingress, double demand, const LoadTracker& load) {
-  return greedy_collocated_embedding(s, vn, ingress, demand, load,
-                                     net::link_cost_weights(s));
-}
-
-std::optional<net::Embedding> greedy_collocated_embedding(
-    const net::SubstrateNetwork& s, const net::VirtualNetwork& vn,
-    net::NodeId ingress, double demand, const LoadTracker& load,
-    const std::vector<double>& link_weights) {
   OLIVE_REQUIRE(demand > 0, "demand must be positive");
   // All VNFs share one host: total node usage and the set of virtual links
   // that ride the ingress->host path (exactly those adjacent to θ).
@@ -274,7 +268,7 @@ std::optional<net::Embedding> greedy_collocated_embedding(
   // One Dijkstra from the ingress over links with enough residual capacity
   // for the θ-adjacent virtual links.
   const auto tree = net::dijkstra(
-      s, ingress, link_weights, [&](net::LinkId l) {
+      s, ingress, net::link_cost_weights(s), [&](net::LinkId l) {
         return load.residual(s.link_element(l)) >= path_size * demand - 1e-9;
       });
 
@@ -302,6 +296,175 @@ std::optional<net::Embedding> greedy_collocated_embedding(
     for (const int j : vn.children(0)) e.link_paths[vn.parent_link(j)] = path;
   }
   return e;
+}
+
+namespace {
+
+// Per-thread Dijkstra state of CollocatedSearch::embed (speculation runs
+// the search on pool threads).  dist/prev/via of node v are live only when
+// stamp[v] equals the current generation, so a search starts in O(1)
+// rather than O(nodes).
+struct SearchScratch {
+  std::vector<std::uint32_t> stamp;
+  std::vector<double> dist;
+  std::vector<net::NodeId> prev;
+  std::vector<net::LinkId> via;
+  std::vector<std::pair<double, net::NodeId>> heap;
+  std::uint32_t gen = 0;
+
+  void begin(int n) {
+    if (static_cast<int>(stamp.size()) < n) {
+      stamp.resize(n, 0);
+      dist.resize(n);
+      prev.resize(n);
+      via.resize(n);
+    }
+    if (++gen == 0) {  // wrapped: an old stamp could match again
+      std::fill(stamp.begin(), stamp.end(), 0);
+      gen = 1;
+    }
+    heap.clear();
+  }
+};
+
+thread_local SearchScratch search_scratch;
+
+}  // namespace
+
+CollocatedSearch::CollocatedSearch(const net::SubstrateNetwork& s,
+                                   const std::vector<net::Application>& apps)
+    : s_(&s), link_weight_(net::link_cost_weights(s)) {
+  for (const double w : link_weight_)
+    OLIVE_REQUIRE(std::isfinite(w) && w >= 0,
+                  "link costs must be finite and non-negative");
+  node_cost_.resize(s.num_nodes());
+  for (net::NodeId v = 0; v < s.num_nodes(); ++v) node_cost_[v] = s.node(v).cost;
+  apps_.reserve(apps.size());
+  for (const net::Application& app : apps) {
+    const net::VirtualNetwork& vn = app.topology;
+    AppTable t;
+    // The same sums, in the same order, as greedy_collocated_embedding.
+    for (int i = 1; i < vn.num_nodes(); ++i) t.node_size += vn.vnode(i).size;
+    for (const int j : vn.children(0)) {
+      t.path_size += vn.vlink(vn.parent_link(j)).size;
+      t.root_links.push_back(vn.parent_link(j));
+    }
+    t.num_vnodes = vn.num_nodes();
+    t.num_vlinks = vn.num_links();
+    t.allowed.assign(s.num_nodes(), 0);
+    for (net::NodeId v = 0; v < s.num_nodes(); ++v) {
+      bool allowed = true;
+      for (int i = 1; i < vn.num_nodes() && allowed; ++i)
+        allowed = net::placement_allowed(s, vn, i, v);
+      if (!allowed) continue;
+      t.hosts.push_back(v);
+      t.allowed[v] = 1;
+    }
+    std::sort(t.hosts.begin(), t.hosts.end(),
+              [&](net::NodeId x, net::NodeId y) {
+                if (node_cost_[x] != node_cost_[y])
+                  return node_cost_[x] < node_cost_[y];
+                return x < y;
+              });
+    apps_.push_back(std::move(t));
+  }
+}
+
+std::optional<net::Embedding> CollocatedSearch::embed(
+    int app, net::NodeId ingress, double demand,
+    const LoadTracker& load) const {
+  OLIVE_REQUIRE(demand > 0, "demand must be positive");
+  OLIVE_REQUIRE(ingress >= 0 && ingress < s_->num_nodes(),
+                "source out of range");
+  const AppTable& a = apps_.at(app);
+  const std::vector<double>& residual = load.residuals();
+
+  // Early reject: the literal's host test, before any Dijkstra.  The
+  // hosts are in ascending cost order, so the first one that passes also
+  // gives the least cost of any feasible host.
+  const double node_need = a.node_size * demand - 1e-9;
+  const auto feasible = [&](net::NodeId v) {
+    return !(residual[s_->node_element(v)] < node_need);
+  };
+  const auto cheapest =
+      std::find_if(a.hosts.begin(), a.hosts.end(), feasible);
+  if (cheapest == a.hosts.end()) return std::nullopt;
+  const double min_cost = node_cost_[*cheapest];
+
+  // The literal's Dijkstra, popped in the same (dist, id) order.  Each
+  // feasible host is evaluated as it settles, keeping the (cost, id)-least
+  // one: the host the literal's ascending scan with a strict < picks.  The
+  // search stops once no unsettled node can beat or tie that host: every
+  // one has dist >= the heap top, and rounding is monotone.
+  const double link_need = a.path_size * demand - 1e-9;
+  SearchScratch& sc = search_scratch;
+  sc.begin(s_->num_nodes());
+  auto& heap = sc.heap;
+  sc.stamp[ingress] = sc.gen;
+  sc.dist[ingress] = 0;
+  heap.emplace_back(0.0, ingress);
+  double best_cost = kInf;
+  net::NodeId best = -1;
+  while (!heap.empty()) {
+    if (best >= 0 &&
+        a.node_size * min_cost + a.path_size * heap.front().first > best_cost)
+      break;
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [d, v] = heap.back();
+    heap.pop_back();
+    if (d > sc.dist[v]) continue;  // stale entry
+    if (a.allowed[v] && feasible(v)) {
+      const double cost = a.node_size * node_cost_[v] + a.path_size * d;
+      if (cost < best_cost || (cost == best_cost && v < best)) {
+        best_cost = cost;
+        best = v;
+      }
+    }
+    for (const auto& [nbr, l] : s_->adjacency(v)) {
+      if (!(residual[s_->link_element(l)] >= link_need)) continue;
+      const double nd = d + link_weight_[l];
+      if (nd < (sc.stamp[nbr] == sc.gen ? sc.dist[nbr] : kInf)) {
+        sc.stamp[nbr] = sc.gen;
+        sc.dist[nbr] = nd;
+        sc.prev[nbr] = v;
+        sc.via[nbr] = l;
+        heap.emplace_back(nd, nbr);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+      }
+    }
+  }
+  if (best < 0) return std::nullopt;
+
+  net::Embedding e;
+  e.node_map.assign(a.num_vnodes, best);
+  e.node_map[0] = ingress;
+  e.link_paths.assign(a.num_vlinks, {});
+  if (best != ingress && !a.root_links.empty()) {
+    std::size_t hops = 0;
+    for (net::NodeId at = best; at != ingress; at = sc.prev[at]) ++hops;
+    std::vector<net::LinkId> path(hops);
+    for (net::NodeId at = best; at != ingress; at = sc.prev[at])
+      path[--hops] = sc.via[at];
+    for (std::size_t i = 0; i + 1 < a.root_links.size(); ++i)
+      e.link_paths[a.root_links[i]] = path;
+    e.link_paths[a.root_links.back()] = std::move(path);
+  }
+  return e;
+}
+
+bool CollocatedSearch::still_fits(int app, const net::Embedding& e,
+                                  double demand,
+                                  const LoadTracker& load) const {
+  const AppTable& a = apps_.at(app);
+  if (a.num_vnodes < 2) return false;  // no VNF: `e` does not name the host
+  if (load.residual(s_->node_element(e.node_map[1])) <
+      a.node_size * demand - 1e-9)
+    return false;
+  if (a.root_links.empty()) return true;
+  const double link_need = a.path_size * demand - 1e-9;
+  for (const net::LinkId l : e.link_paths[a.root_links.front()])
+    if (!(load.residual(s_->link_element(l)) >= link_need)) return false;
+  return true;
 }
 
 }  // namespace olive::core

@@ -13,10 +13,16 @@
 // 2. greedy_collocated_embedding — GREEDYEMBED of §III-C: all VNFs of the
 //    request collocate on one substrate node; the virtual links adjacent to
 //    θ ride a single substrate path from the ingress; the least-cost
-//    feasible host is found with one capacity-filtered Dijkstra.
+//    feasible host is found with one capacity-filtered Dijkstra.  This is
+//    the literal form, kept as the specification.  CollocatedSearch returns
+//    the same bytes from per-application tables built once, per-thread
+//    scratch in place of per-call vectors, and a Dijkstra that stops as
+//    soon as no unsettled node can beat the best host found so far
+//    (docs/olive-fastpath.md §5).
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "core/load.hpp"
 #include "net/embedding.hpp"
@@ -79,13 +85,47 @@ std::optional<net::Embedding> greedy_collocated_embedding(
     const net::SubstrateNetwork& s, const net::VirtualNetwork& vn,
     net::NodeId ingress, double demand, const LoadTracker& load);
 
-/// Same, against precomputed per-link Dijkstra weights (must equal
-/// net::link_cost_weights(s)) — the admission fast path hoists that vector
-/// out of the per-request loop instead of rebuilding it every call.
-std::optional<net::Embedding> greedy_collocated_embedding(
-    const net::SubstrateNetwork& s, const net::VirtualNetwork& vn,
-    net::NodeId ingress, double demand, const LoadTracker& load,
-    const std::vector<double>& link_weights);
+/// greedy_collocated_embedding for a fixed (substrate, apps) pair, built
+/// once.  embed() returns byte-for-byte what the literal returns for
+/// apps[app].topology; the exactness argument is docs/olive-fastpath.md §5.
+/// Calls may run concurrently: the search state is per-thread scratch.
+class CollocatedSearch {
+ public:
+  /// `s` must outlive the search.  Throws InvalidArgument if a link cost is
+  /// negative or not finite.
+  CollocatedSearch(const net::SubstrateNetwork& s,
+                   const std::vector<net::Application>& apps);
+
+  std::optional<net::Embedding> embed(int app, net::NodeId ingress,
+                                      double demand,
+                                      const LoadTracker& load) const;
+
+  /// True if `e`, an embed() result for `app`, passes the search's own
+  /// residual tests at `demand`: its host against node_size·demand and
+  /// every link of its path against path_size·demand, with the 1e-9
+  /// tolerance.  Within one grow epoch and at a demand no smaller than the
+  /// one `e` was computed for, that makes `e` exactly what embed() would
+  /// return now (docs/olive-fastpath.md §3).
+  bool still_fits(int app, const net::Embedding& e, double demand,
+                  const LoadTracker& load) const;
+
+ private:
+  struct AppTable {
+    double node_size = 0;  ///< Σ VNF sizes, in virtual-node order
+    double path_size = 0;  ///< Σ sizes of the links adjacent to θ
+    int num_vnodes = 0;
+    int num_vlinks = 0;
+    std::vector<int> root_links;  ///< virtual links adjacent to θ
+    /// The nodes that allow every VNF, by ascending (node cost, id).
+    std::vector<net::NodeId> hosts;
+    std::vector<char> allowed;  ///< per node: listed in `hosts`
+  };
+
+  const net::SubstrateNetwork* s_;
+  std::vector<AppTable> apps_;
+  std::vector<double> node_cost_;
+  std::vector<double> link_weight_;
+};
 
 /// Capacity-filtered min-cost tree embedding: like min_cost_tree_embedding
 /// but every placement/link must individually fit `demand` under the

@@ -46,7 +46,7 @@ EmbedOutcome FullGreedyEmbedder::embed(const workload::Request& r) {
     EmbedOutcome out;
     out.kind = OutcomeKind::Greedy;
     out.usage = net::unit_usage(substrate_, vn, *dp);
-    out.unit_cost = net::unit_cost(substrate_, vn, *dp);
+    out.unit_cost = net::usage_cost(substrate_, out.usage);
     out.embedding = *dp;
     if (load_.fits(out.usage, r.demand)) {
       load_.apply(out.usage, r.demand);
@@ -201,7 +201,7 @@ EmbedOutcome FullGreedyEmbedder::embed(const workload::Request& r) {
   EmbedOutcome out;
   out.kind = OutcomeKind::Greedy;
   out.usage = net::unit_usage(substrate_, vn, e);
-  out.unit_cost = net::unit_cost(substrate_, vn, e);
+  out.unit_cost = net::usage_cost(substrate_, out.usage);
   out.embedding = e;
   if (!load_.fits(out.usage, d)) return EmbedOutcome{};  // tolerance edge
   load_.apply(out.usage, d);
@@ -228,7 +228,7 @@ std::optional<EmbedOutcome> FullGreedyEmbedder::adopt(
   EmbedOutcome out;
   out.kind = OutcomeKind::Greedy;
   out.usage = net::unit_usage(substrate_, vn, e);
-  out.unit_cost = net::unit_cost(substrate_, vn, e);
+  out.unit_cost = net::usage_cost(substrate_, out.usage);
   out.embedding = e;
   if (!load_.fits(out.usage, r.demand)) return std::nullopt;
   load_.apply(out.usage, r.demand);

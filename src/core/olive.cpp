@@ -9,7 +9,6 @@
 #include "core/aggregation.hpp"
 #include "core/embedder.hpp"
 #include "net/embedding.hpp"
-#include "net/paths.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -34,7 +33,7 @@ OliveEmbedder::OliveEmbedder(const net::SubstrateNetwork& s,
       name_(std::move(name)),
       options_(options),
       load_(s),
-      link_weights_(net::link_cost_weights(s)) {
+      collocated_(s, apps) {
   reset();
 }
 
@@ -351,14 +350,7 @@ void OliveEmbedder::speculate(const workload::Request& r,
           out.kind = Kind::Reject;
           return;
         }
-        bool ok = true;
-        for (const auto& [elem, amt] : m.usage) {
-          if (load_.residual(elem) < amt * r.demand - 1e-9) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) {
+        if (collocated_.still_fits(r.app, m.embedding, r.demand, load_)) {
           out.usage = m.usage;
           out.embedding = m.embedding;
           out.unit_cost = m.unit_cost;
@@ -367,11 +359,9 @@ void OliveEmbedder::speculate(const workload::Request& r,
         }
       }
     }
-    if (auto emb = greedy_collocated_embedding(substrate_,
-                                               apps_[r.app].topology, r.ingress,
-                                               r.demand, load_, link_weights_)) {
+    if (auto emb = collocated_.embed(r.app, r.ingress, r.demand, load_)) {
       out.usage = net::unit_usage(substrate_, apps_[r.app].topology, *emb);
-      out.unit_cost = net::unit_cost(substrate_, apps_[r.app].topology, *emb);
+      out.unit_cost = net::usage_cost(substrate_, out.usage);
       out.embedding = std::move(*emb);
       out.kind = Kind::Greedy;
       return;
@@ -438,14 +428,7 @@ EmbedOutcome OliveEmbedder::embed(const workload::Request& r) {
         break;
       }
       case Kind::Greedy: {
-        bool ok = true;
-        for (const auto& [elem, amt] : d->usage) {
-          if (load_.residual(elem) < amt * r.demand - 1e-9) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) {
+        if (collocated_.still_fits(r.app, d->embedding, r.demand, load_)) {
           ++stats_.spec_commits;
           // Refresh the memo for later same-class arrivals of this slot.
           GreedyMemo& m = greedy_memo_[class_key(r.app, r.ingress)];
@@ -537,20 +520,12 @@ EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
           // Same epoch, no smaller demand: the feasible set only shrank
           // since the memo was taken, so an infeasible memo stays
           // infeasible, and a feasible one that still passes the greedy's
-          // own element-wise residual check (strictly tighter than
-          // LoadTracker::fits) is exactly what GREEDYEMBED would return.
+          // own residual tests is exactly what GREEDYEMBED would return.
           if (!m.feasible) {
             ++stats_.greedy_memo_hits;
             return EmbedOutcome{};
           }
-          bool ok = true;
-          for (const auto& [elem, amt] : m.usage) {
-            if (load_.residual(elem) < amt * r.demand - 1e-9) {
-              ok = false;
-              break;
-            }
-          }
-          if (ok) {
+          if (collocated_.still_fits(r.app, m.embedding, r.demand, load_)) {
             ++stats_.greedy_memo_hits;
             return allocate(r, m.embedding, OutcomeKind::Greedy, -1, -1, {},
                             m.usage, m.unit_cost);
@@ -558,16 +533,14 @@ EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
         }
       }
       ++stats_.greedy_memo_misses;
-      auto emb = greedy_collocated_embedding(substrate_, apps_[r.app].topology,
-                                             r.ingress, r.demand, load_,
-                                             link_weights_);
+      auto emb = collocated_.embed(r.app, r.ingress, r.demand, load_);
       GreedyMemo& m = greedy_memo_[key];
       m.epoch = load_.grow_epoch();
       m.demand = r.demand;
       m.feasible = emb.has_value();
       if (emb) {
         m.usage = net::unit_usage(substrate_, apps_[r.app].topology, *emb);
-        m.unit_cost = net::unit_cost(substrate_, apps_[r.app].topology, *emb);
+        m.unit_cost = net::usage_cost(substrate_, m.usage);
         m.embedding = *emb;
         return allocate(r, std::move(*emb), OutcomeKind::Greedy, -1, -1, {},
                         Usage(m.usage), m.unit_cost);
@@ -577,9 +550,9 @@ EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
       m.unit_cost = 0;
     } else if (auto emb = greedy_collocated_embedding(
                    substrate_, apps_[r.app].topology, r.ingress, r.demand,
-                   load_, link_weights_)) {
+                   load_)) {
       Usage usage = net::unit_usage(substrate_, apps_[r.app].topology, *emb);
-      const double uc = net::unit_cost(substrate_, apps_[r.app].topology, *emb);
+      const double uc = net::usage_cost(substrate_, usage);
       return allocate(r, std::move(*emb), OutcomeKind::Greedy, -1, -1, {},
                       std::move(usage), uc);
     }
@@ -593,8 +566,7 @@ EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
 // admission order counter, the greedy memo (its epoch field stays valid
 // because load_ — including its grow-epoch — is part of the snapshot), and
 // the diagnostics counters.  class_max_ and elem_actives_ are derived and
-// rebuilt on restore; link_weights_ is a pure function of the substrate;
-// the speculation buffers are transient by design.
+// rebuilt on restore; the speculation buffers are transient by design.
 struct OliveEmbedder::Snapshot {
   LoadTracker load;
   Plan plan;
@@ -671,7 +643,7 @@ std::optional<EmbedOutcome> OliveEmbedder::adopt(const workload::Request& r,
   OLIVE_REQUIRE(!active_.contains(r.id), "adopt of a still-active request");
   Usage usage = net::unit_usage(substrate_, apps_[r.app].topology, e);
   if (!load_.fits(usage, r.demand)) return std::nullopt;
-  const double uc = net::unit_cost(substrate_, apps_[r.app].topology, e);
+  const double uc = net::usage_cost(substrate_, usage);
   // Migrated allocations are ad-hoc: they hold no plan share and are
   // preemptible like any greedy embedding.
   return allocate(r, e, OutcomeKind::Greedy, -1, -1, {}, std::move(usage), uc);

@@ -24,8 +24,12 @@
 //     preempt(); candidates above the churn cap are dropped at the gather
 //     and the rest pop lazily from a heap, so preempt() pays for the
 //     victims it reads, not for every borrower it could read;
+//   * GREEDYEMBED runs as a core::CollocatedSearch: per-application host
+//     tables built once, per-thread scratch, and a Dijkstra that stops as
+//     soon as no unsettled node can beat the best host found;
 //   * GREEDYEMBED results are memoized per class and revalidated against
-//     the LoadTracker grow-epoch plus an element-wise residual check;
+//     the LoadTracker grow-epoch plus the search's own residual tests on
+//     the cached host and path;
 //   * hint_arrivals() speculatively evaluates a whole slot's arrivals in
 //     parallel against the frozen state, and embed() commits each decision
 //     after a monotonicity-based validation (recomputing on a miss).
@@ -38,6 +42,7 @@
 #include <unordered_map>
 
 #include "core/algorithm.hpp"
+#include "core/embedder.hpp"
 #include "core/plan.hpp"
 #include "net/vnet.hpp"
 
@@ -145,7 +150,7 @@ class OliveEmbedder final : public OnlineEmbedder {
   /// Memoized GREEDYEMBED answer for one (app, ingress) class.  Valid for a
   /// later request iff the grow-epoch matches and its demand >= `demand`
   /// (feasible sets only shrink within an epoch); a feasible memo must
-  /// additionally pass the element-wise residual check at the new demand.
+  /// additionally pass CollocatedSearch::still_fits at the new demand.
   struct GreedyMemo {
     std::uint64_t epoch = 0;
     double demand = 0;
@@ -223,9 +228,9 @@ class OliveEmbedder final : public OnlineEmbedder {
   std::unordered_map<workload::RequestId, Active> active_;
   std::int64_t admission_counter_ = 0;
 
-  /// Dijkstra weights of GREEDYEMBED — pure function of the substrate,
-  /// hoisted out of the per-request loop.
-  std::vector<double> link_weights_;
+  /// GREEDYEMBED of the fast path; the specification path calls the
+  /// literal greedy_collocated_embedding.
+  CollocatedSearch collocated_;
   /// max_k plan_residual(cls, k), kept exact on every plan_used_ change —
   /// lets embed() skip whole PLANEMBED stages without touching a column.
   std::vector<double> class_max_;

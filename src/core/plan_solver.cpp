@@ -173,7 +173,7 @@ Plan solve_plan_vne(const net::SubstrateNetwork& s,
             auto emb = dp.embed(aggregates[c].ingress);
             if (!emb) continue;
             pr.usage = net::unit_usage(s, topo, *emb);
-            pr.unit_cost = net::unit_cost(s, topo, *emb);
+            pr.unit_cost = net::usage_cost(s, pr.usage);
             pr.fingerprint = net::fingerprint64(*emb);
             if (with_eff) {
               double unit_eff = 0;

@@ -77,12 +77,16 @@ std::vector<std::pair<int, double>> unit_usage(const SubstrateNetwork& s,
   return out;
 }
 
+double usage_cost(const SubstrateNetwork& s,
+                  const std::vector<std::pair<int, double>>& usage) {
+  double total = 0;
+  for (const auto& [elem, amt] : usage) total += amt * s.element_cost(elem);
+  return total;
+}
+
 double unit_cost(const SubstrateNetwork& s, const VirtualNetwork& vn,
                  const Embedding& e) {
-  double total = 0;
-  for (const auto& [elem, amt] : unit_usage(s, vn, e))
-    total += amt * s.element_cost(elem);
-  return total;
+  return usage_cost(s, unit_usage(s, vn, e));
 }
 
 bool is_valid_embedding(const SubstrateNetwork& s, const VirtualNetwork& vn,

@@ -52,7 +52,12 @@ std::vector<std::pair<int, double>> unit_usage(const SubstrateNetwork& s,
                                                const VirtualNetwork& vn,
                                                const Embedding& e);
 
-/// Per-unit-demand resource cost: Σ usage(element) · cost(element).
+/// Per-unit-demand resource cost of a unit_usage() result:
+/// Σ usage(element) · cost(element), summed left to right.
+double usage_cost(const SubstrateNetwork& s,
+                  const std::vector<std::pair<int, double>>& usage);
+
+/// usage_cost(s, unit_usage(s, vn, e)).
 double unit_cost(const SubstrateNetwork& s, const VirtualNetwork& vn,
                  const Embedding& e);
 

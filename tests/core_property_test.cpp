@@ -7,17 +7,22 @@
 //    everything returns the substrate to full capacity.
 //  * PLAN-VNE plans are always feasible and convex on random instances.
 //  * FULLG produces valid, capacity-respecting embeddings.
+//  * CollocatedSearch returns exactly what the literal GREEDYEMBED returns
+//    on random residual states of Iris, CittaStudi and FatTree8.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "core/embedder.hpp"
 #include "core/fullg.hpp"
 #include "core/olive.hpp"
 #include "core/plan_solver.hpp"
 #include "net/paths.hpp"
+#include "topo/topologies.hpp"
 #include "util/rng.hpp"
+#include "workload/appgen.hpp"
 
 namespace olive::core {
 namespace {
@@ -298,6 +303,86 @@ TEST_P(FullGSweep, EmbeddingsValidAndWithinCapacity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FullGSweep, ::testing::Range(0, 15));
+
+struct CollocatedCase {
+  std::string topology;
+  bool gpu_variant = false;
+};
+
+// Prints a case as its name, e.g. "FatTree8Gpu", rather than the struct's
+// raw bytes, which hold a heap address and would change the test's name
+// from run to run.
+std::string case_name(const CollocatedCase& c) {
+  return c.topology + (c.gpu_variant ? "Gpu" : "");
+}
+void PrintTo(const CollocatedCase& c, std::ostream* os) { *os << case_name(c); }
+
+class CollocatedSweep : public ::testing::TestWithParam<CollocatedCase> {};
+
+TEST_P(CollocatedSweep, SearchMatchesLiteralOnRandomResiduals) {
+  const CollocatedCase& c = GetParam();
+  Rng rng(stable_hash(c.topology) + (c.gpu_variant ? 1 : 0));
+  net::SubstrateNetwork s = c.topology == "Iris"         ? topo::iris(rng)
+                            : c.topology == "CittaStudi" ? topo::citta_studi(rng)
+                                                         : topo::fat_tree(rng, 8);
+  // The GPU substrate adds a GPU chain, whose GPU/non-GPU mix has no host.
+  auto mix = workload::default_mix();
+  if (c.gpu_variant) {
+    s = topo::make_gpu_variant(s, rng);
+    mix.push_back(workload::AppKind::Gpu);
+  }
+  const auto apps = workload::sample_application_set(mix, {}, rng);
+  const CollocatedSearch search(s, apps);
+
+  long calls = 0, feasible = 0;
+  for (const double fill : {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}) {
+    // Residual state: each element carries a random load with probability
+    // `fill`, and a few are failed to zero capacity.
+    LoadTracker load(s);
+    for (int e = 0; e < s.element_count(); ++e) {
+      if (rng.chance(0.05 * fill)) {
+        load.set_capacity(e, 0);
+      } else if (rng.chance(fill)) {
+        load.apply({{e, 1.0}}, rng.uniform(0.0, 1.0) * s.element_capacity(e));
+      }
+    }
+    for (int app = 0; app < static_cast<int>(apps.size()); ++app) {
+      for (net::NodeId ingress = 0; ingress < s.num_nodes(); ++ingress) {
+        for (const double demand : {1.0, 50.0, 2000.0, 20000.0}) {
+          const auto literal = greedy_collocated_embedding(
+              s, apps[app].topology, ingress, demand, load);
+          const auto searched = search.embed(app, ingress, demand, load);
+          const auto where = [&] {
+            return ::testing::Message() << "app " << app << " ingress "
+                                        << ingress << " demand " << demand
+                                        << " fill " << fill;
+          };
+          ++calls;
+          ASSERT_EQ(literal.has_value(), searched.has_value()) << where();
+          if (!literal) continue;
+          ++feasible;
+          ASSERT_EQ(literal->node_map, searched->node_map) << where();
+          ASSERT_EQ(literal->link_paths, searched->link_paths) << where();
+          EXPECT_TRUE(search.still_fits(app, *searched, demand, load))
+              << where();
+        }
+      }
+    }
+  }
+  EXPECT_GT(feasible, 0);
+  EXPECT_LT(feasible, calls);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, CollocatedSweep,
+    ::testing::Values(CollocatedCase{"Iris", false}, CollocatedCase{"Iris", true},
+                      CollocatedCase{"FatTree8", false},
+                      CollocatedCase{"FatTree8", true},
+                      CollocatedCase{"CittaStudi", false},
+                      CollocatedCase{"CittaStudi", true}),
+    [](const ::testing::TestParamInfo<CollocatedCase>& info) {
+      return case_name(info.param);
+    });
 
 }  // namespace
 }  // namespace olive::core

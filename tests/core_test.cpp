@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "core/aggregation.hpp"
 #include "core/embedder.hpp"
@@ -169,11 +171,28 @@ TEST(TreeDp, DualAdjustedCostsSteerAwayFromExpensiveElements) {
   EXPECT_NE(emb->node_map[1], 1);
 }
 
+// GREEDYEMBED through the literal function and through CollocatedSearch:
+// the two must agree byte for byte.  Returns the literal's answer.
+std::optional<net::Embedding> greedy_both(const net::SubstrateNetwork& s,
+                                          const net::VirtualNetwork& vn,
+                                          net::NodeId ingress, double demand,
+                                          const LoadTracker& load) {
+  const auto literal = greedy_collocated_embedding(s, vn, ingress, demand, load);
+  const CollocatedSearch search(s, {net::Application{"app", vn}});
+  const auto searched = search.embed(0, ingress, demand, load);
+  EXPECT_EQ(literal.has_value(), searched.has_value());
+  if (literal && searched) {
+    EXPECT_EQ(literal->node_map, searched->node_map);
+    EXPECT_EQ(literal->link_paths, searched->link_paths);
+  }
+  return literal;
+}
+
 TEST(GreedyEmbed, PicksCheapestFeasibleHost) {
   const auto s = tiny_network();
   const auto vn = net::VirtualNetwork::chain({10, 10}, {2, 2});
   LoadTracker load(s);
-  const auto emb = greedy_collocated_embedding(s, vn, 0, 1.0, load);
+  const auto emb = greedy_both(s, vn, 0, 1.0, load);
   ASSERT_TRUE(emb.has_value());
   ASSERT_TRUE(net::is_valid_embedding(s, vn, *emb));
   // All VNFs on one host; node 1 has the lowest cost (1.0/CU): 20*1 + path 2.
@@ -188,7 +207,7 @@ TEST(GreedyEmbed, AvoidsSaturatedNodes) {
   LoadTracker load(s);
   // Saturate node 1: the greedy must pick the next-cheapest host.
   load.apply({{s.node_element(1), 1.0}}, 995.0);
-  const auto emb = greedy_collocated_embedding(s, vn, 0, 1.0, load);
+  const auto emb = greedy_both(s, vn, 0, 1.0, load);
   ASSERT_TRUE(emb.has_value());
   EXPECT_NE(emb->node_map[1], 1);
 }
@@ -199,18 +218,32 @@ TEST(GreedyEmbed, AvoidsSaturatedLinks) {
   LoadTracker load(s);
   // Saturate link 0-1; the path to node 1 must go 0-2-1 or host elsewhere.
   load.apply({{s.link_element(0), 1.0}}, 450.0);
-  const auto emb = greedy_collocated_embedding(s, vn, 0, 1.0, load);
+  const auto emb = greedy_both(s, vn, 0, 1.0, load);
   ASSERT_TRUE(emb.has_value());
   ASSERT_TRUE(net::is_valid_embedding(s, vn, *emb));
   for (const auto& path : emb->link_paths)
     for (const auto l : path) EXPECT_NE(l, 0);
+
+  // The link test keeps the literal's 1e-9 tolerance: with the ingress
+  // unable to host, link 0-1 carries the path to host 1 when it is 0.5e-9
+  // short of the request and is avoided when it is 2e-9 short.
+  for (const auto& [shortfall, usable] :
+       {std::pair{2e-9, false}, std::pair{0.5e-9, true}}) {
+    LoadTracker edge(s);
+    edge.set_capacity(s.node_element(0), 0);
+    edge.set_capacity(s.link_element(0), 100.0 - shortfall);
+    const auto e = greedy_both(s, vn, 0, 1.0, edge);
+    ASSERT_TRUE(e.has_value());
+    EXPECT_EQ(e->link_paths[0] == std::vector<net::LinkId>{0}, usable)
+        << shortfall;
+  }
 }
 
 TEST(GreedyEmbed, FailsWhenNothingFits) {
   const auto s = tiny_network();
   const auto vn = net::VirtualNetwork::chain({2000}, {1});  // exceeds any node
   LoadTracker load(s);
-  EXPECT_FALSE(greedy_collocated_embedding(s, vn, 0, 1.0, load).has_value());
+  EXPECT_FALSE(greedy_both(s, vn, 0, 1.0, load).has_value());
 }
 
 TEST(GreedyEmbed, GpuMixCannotCollocate) {
@@ -220,7 +253,53 @@ TEST(GreedyEmbed, GpuMixCannotCollocate) {
   vn.vnode(1).gpu = true;  // one GPU VNF + one plain VNF
   LoadTracker load(s);
   // No single node can host both — the reason QUICKG sits out Fig. 10.
-  EXPECT_FALSE(greedy_collocated_embedding(s, vn, 0, 1.0, load).has_value());
+  EXPECT_FALSE(greedy_both(s, vn, 0, 1.0, load).has_value());
+}
+
+TEST(GreedyEmbed, EqualCostTieGoesToTheLowerIdHostThatSettlesLater) {
+  // Ingress 0 cannot host; 0 -- 2 -- 1 with unit link costs.  With node and
+  // link size 1, host 2 (1 hop, cost 3) and host 1 (2 hops, cost 2) both
+  // cost 4.  The bounded search settles host 2 first and must not stop
+  // there: host 1 ties, and the literal's ascending scan picks it.
+  net::SubstrateNetwork s;
+  s.add_node({"ingress", net::Tier::Edge, 0, 1.0, false});
+  s.add_node({"far", net::Tier::Edge, 100, 2.0, false});
+  s.add_node({"near", net::Tier::Edge, 100, 3.0, false});
+  s.add_link(0, 2, 100, 1.0);
+  s.add_link(2, 1, 100, 1.0);
+  const auto vn = net::VirtualNetwork::chain({1}, {1});
+  LoadTracker load(s);
+  const auto emb = greedy_both(s, vn, 0, 1.0, load);
+  ASSERT_TRUE(emb.has_value());
+  EXPECT_EQ(emb->node_map[1], 1);
+  EXPECT_EQ(emb->link_paths[0], (std::vector<net::LinkId>{0, 1}));
+}
+
+TEST(GreedyEmbed, NoHostWithNodeRoomRejectsEvenWithFreeLinks) {
+  // Every node is 1 CU short of the request while every link is empty: the
+  // search rejects on its host pre-scan alone, as the literal does after a
+  // full Dijkstra.
+  const auto s = tiny_network();
+  const auto vn = net::VirtualNetwork::chain({10, 10}, {2, 2});
+  LoadTracker load(s);
+  for (net::NodeId v = 0; v < s.num_nodes(); ++v)
+    load.apply({{s.node_element(v), 1.0}}, 981.0);
+  EXPECT_FALSE(greedy_both(s, vn, 0, 1.0, load).has_value());
+  EXPECT_TRUE(greedy_both(s, vn, 0, 0.9, load).has_value());
+}
+
+TEST(GreedyEmbed, OutOfRangeIngressThrows) {
+  // Checked before the host pre-scan: the request below fits no host, and
+  // an out-of-range ingress must still throw rather than reject.
+  const auto s = tiny_network();
+  const auto vn = net::VirtualNetwork::chain({2000}, {1});
+  LoadTracker load(s);
+  const CollocatedSearch search(s, {net::Application{"app", vn}});
+  for (const net::NodeId ingress : {-1, 3}) {
+    EXPECT_THROW(greedy_collocated_embedding(s, vn, ingress, 1.0, load),
+                 InvalidArgument);
+    EXPECT_THROW(search.embed(0, ingress, 1.0, load), InvalidArgument);
+  }
 }
 
 TEST(Aggregation, SeriesFollowsActiveDemand) {

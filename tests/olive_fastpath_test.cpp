@@ -143,6 +143,58 @@ TEST(GreedyMemo, CapacityRaiseInvalidates) {
   EXPECT_GE(algo.fastpath_stats().greedy_memo_invalidations, 1);
 }
 
+TEST(GreedyMemo, RevalidatesWithTheSearchsOwnThresholds) {
+  // The greedy tests its host against the VNF sizes summed in virtual-node
+  // order; the usage vector sums the same sizes sorted, one ulp lower here.
+  // After a first admission at demand 0.001 the host's residual sits
+  // between the two thresholds at demand 1: the literal rejects the second
+  // request, so no cached decision may admit it.  Three caches are covered:
+  // the serial memo hit, a speculated greedy commit, and speculation
+  // serving the memo.
+  const std::vector<double> sizes = {10.837089, 8.651729, 9.156453, 2.710334};
+  const std::vector<net::Application> apps = {
+      {"ulp", net::VirtualNetwork::chain(sizes, {1, 1, 1, 1})}};
+  net::SubstrateNetwork s;
+  s.add_node({"ingress", net::Tier::Edge, 0, 1.0, false});
+  s.add_node({"host", net::Tier::Edge, 31.386960604, 1.0, false});
+  s.add_link(0, 1, 1000, 1.0);
+
+  double node_order = 0;
+  for (const double x : sizes) node_order += x;
+  std::vector<double> sorted = sizes;
+  std::sort(sorted.begin(), sorted.end());
+  double aggregated = 0;
+  for (const double x : sorted) aggregated += x;
+
+  OliveOptions off;
+  off.enable_fastpath = false;
+  OliveOptions spec;
+  spec.spec_threads = 4;
+  const auto run = [&](bool hint_first, bool hint_rest) {
+    OliveEmbedder fast(s, apps, Plan::empty(), "OLIVE", spec);
+    OliveEmbedder slow(s, apps, Plan::empty(), "OLIVE", off);
+    std::vector<workload::Request> batch = {make_request(1, 0.001),
+                                            make_request(2, 1.0),
+                                            make_request(3, 1.0)};
+    if (hint_first) fast.hint_arrivals(batch.data(), batch.size());
+    const auto first = fast.embed(batch[0]);
+    expect_same_outcome(first, slow.embed(batch[0]), "first admission");
+    EXPECT_EQ(first.kind, OutcomeKind::Greedy);
+    const double residual = fast.load().residual(s.node_element(1));
+    EXPECT_GE(residual, aggregated - 1e-9);
+    EXPECT_LT(residual, node_order - 1e-9);
+    if (hint_rest) fast.hint_arrivals(batch.data() + 1, batch.size() - 1);
+    for (std::size_t i = 1; i < batch.size(); ++i) {
+      const auto out = fast.embed(batch[i]);
+      expect_same_outcome(out, slow.embed(batch[i]), "one ulp short");
+      EXPECT_EQ(out.kind, OutcomeKind::Rejected);
+    }
+  };
+  run(false, false);  // memo hit in embed_serial
+  run(true, false);   // speculated greedy commit
+  run(false, true);   // speculation serves the memo
+}
+
 TEST(ClassMax, SkipsExhaustedPlanStages) {
   const auto s = two_host_network(1000, 1000, 1000);
   const auto apps = chain_app();
