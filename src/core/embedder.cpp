@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
-#include <memory>
 
 #include "util/error.hpp"
 
@@ -29,13 +29,16 @@ namespace {
 // dp[i][v] = min cost of embedding the subtree rooted at virtual node i with
 // i placed on substrate node v.  choice[j][v] = best host of child j given
 // its parent at v.  The tables are independent of the ingress: only the
-// reconstruction pins the root.  Templated over the shortest-path provider
-// (eager AllPairsShortestPaths or memoized LazyShortestPaths) — both answer
-// tree(v)/path(a, b) with identical values.
-template <class Paths>
+// reconstruction pins the root.  Templated over two inputs:
+//  * `paths_of(l)`, the shortest-path provider virtual link l routes on
+//    (eager AllPairsShortestPaths or memoized LazyShortestPaths — both
+//    answer tree(v)/path(a, b) with identical values);
+//  * `fits(i, v)`, whether substrate node v may host virtual node i at all
+//    (beyond η, which always applies).
+template <class PathsOf, class Fits>
 void run_tree_dp(const net::SubstrateNetwork& s, const net::VirtualNetwork& vn,
-                 const EffectiveCosts& costs, const Paths& paths,
-                 std::vector<std::vector<double>>& dp,
+                 const EffectiveCosts& costs, const PathsOf& paths_of,
+                 const Fits& fits, std::vector<std::vector<double>>& dp,
                  std::vector<std::vector<net::NodeId>>& choice) {
   const int n_sub = s.num_nodes();
   const int n_virt = vn.num_nodes();
@@ -54,7 +57,7 @@ void run_tree_dp(const net::SubstrateNetwork& s, const net::VirtualNetwork& vn,
     // any shortest-path tree is requested keeps the lazy provider lazy).
     for (net::NodeId v = 0; v < n_sub; ++v) {
       const double coeff = net::eta(s, vn, i, v);
-      dp[i][v] = std::isfinite(coeff)
+      dp[i][v] = std::isfinite(coeff) && fits(i, v)
                      ? vn.vnode(i).size * coeff * costs.node_cost[v]
                      : kInf;
     }
@@ -66,7 +69,9 @@ void run_tree_dp(const net::SubstrateNetwork& s, const net::VirtualNetwork& vn,
         finite_hosts.push_back(w);
         finite_costs.push_back(dp[j][w]);
       }
-      const double beta_link = vn.vlink(vn.parent_link(j)).size;
+      const int link = vn.parent_link(j);
+      const auto& paths = paths_of(link);
+      const double beta_link = vn.vlink(link).size;
       for (net::NodeId v = 0; v < n_sub; ++v) {
         if (dp[i][v] == kInf) continue;  // placement already ruled out
         double best = kInf;
@@ -96,10 +101,10 @@ void run_tree_dp(const net::SubstrateNetwork& s, const net::VirtualNetwork& vn,
   }
 }
 
-template <class Paths>
+template <class PathsOf>
 std::optional<net::Embedding> reconstruct_tree_embedding(
     const net::SubstrateNetwork& s, const net::VirtualNetwork& vn,
-    net::NodeId ingress, const Paths& paths,
+    net::NodeId ingress, const PathsOf& paths_of,
     const std::vector<std::vector<double>>& dp,
     const std::vector<std::vector<net::NodeId>>& choice) {
   OLIVE_REQUIRE(ingress >= 0 && ingress < s.num_nodes(), "ingress out of range");
@@ -117,10 +122,19 @@ std::optional<net::Embedding> reconstruct_tree_embedding(
     const net::NodeId w = choice[i][pv];
     OLIVE_ASSERT(w >= 0);
     e.node_map[i] = w;
-    if (w != pv) e.link_paths[vn.parent_link(i)] = paths.path(pv, w);
+    const int link = vn.parent_link(i);
+    if (w != pv) e.link_paths[link] = paths_of(link).path(pv, w);
   }
   return e;
 }
+
+// The uncapacitated DP: every virtual link routes on `paths`, and η alone
+// restricts placements.
+template <class Paths>
+auto all_links_on(const Paths& paths) {
+  return [&paths](int) -> const Paths& { return paths; };
+}
+constexpr auto kAnyHost = [](int, net::NodeId) { return true; };
 
 }  // namespace
 
@@ -130,8 +144,9 @@ std::optional<net::Embedding> min_cost_tree_embedding(
     const net::AllPairsShortestPaths& apsp) {
   std::vector<std::vector<double>> dp;
   std::vector<std::vector<net::NodeId>> choice;
-  run_tree_dp(s, vn, costs, apsp, dp, choice);
-  return reconstruct_tree_embedding(s, vn, ingress, apsp, dp, choice);
+  run_tree_dp(s, vn, costs, all_links_on(apsp), kAnyHost, dp, choice);
+  return reconstruct_tree_embedding(s, vn, ingress, all_links_on(apsp), dp,
+                                    choice);
 }
 
 std::optional<net::Embedding> min_cost_tree_embedding(
@@ -140,8 +155,9 @@ std::optional<net::Embedding> min_cost_tree_embedding(
     const net::LazyShortestPaths& paths) {
   std::vector<std::vector<double>> dp;
   std::vector<std::vector<net::NodeId>> choice;
-  run_tree_dp(s, vn, costs, paths, dp, choice);
-  return reconstruct_tree_embedding(s, vn, ingress, paths, dp, choice);
+  run_tree_dp(s, vn, costs, all_links_on(paths), kAnyHost, dp, choice);
+  return reconstruct_tree_embedding(s, vn, ingress, all_links_on(paths), dp,
+                                    choice);
 }
 
 MinCostTreeDP::MinCostTreeDP(const net::SubstrateNetwork& s,
@@ -149,101 +165,52 @@ MinCostTreeDP::MinCostTreeDP(const net::SubstrateNetwork& s,
                              const EffectiveCosts& costs,
                              const net::LazyShortestPaths& paths)
     : s_(&s), vn_(&vn), paths_(&paths) {
-  run_tree_dp(s, vn, costs, paths, dp_, choice_);
+  run_tree_dp(s, vn, costs, all_links_on(paths), kAnyHost, dp_, choice_);
 }
 
 std::optional<net::Embedding> MinCostTreeDP::embed(net::NodeId ingress) const {
-  return reconstruct_tree_embedding(*s_, *vn_, ingress, *paths_, dp_, choice_);
+  return reconstruct_tree_embedding(*s_, *vn_, ingress, all_links_on(*paths_),
+                                    dp_, choice_);
 }
 
 std::optional<net::Embedding> capacitated_min_cost_tree_embedding(
     const net::SubstrateNetwork& s, const net::VirtualNetwork& vn,
     net::NodeId ingress, double demand, const LoadTracker& load) {
   OLIVE_REQUIRE(demand > 0, "demand must be positive");
-  const int n_sub = s.num_nodes();
-  const int n_virt = vn.num_nodes();
-
-  // Per-virtual-link shortest paths on links that individually fit that
-  // link's load.  Links sharing a beta value share the same filter, so the
-  // all-pairs computations are deduplicated by beta.
+  // Each virtual link routes on the substrate links that individually fit
+  // its load: saturated links get +inf weight, which Dijkstra never relaxes
+  // over.  Links of one size share one filter, so one provider per size.
   const auto plain = EffectiveCosts::plain(s);
-  std::vector<const net::AllPairsShortestPaths*> apsp_of_link(vn.num_links());
-  std::vector<std::pair<double, std::unique_ptr<net::AllPairsShortestPaths>>>
-      by_beta;
+  std::vector<double> sizes;
+  std::deque<net::LazyShortestPaths> filtered;  // one per entry of `sizes`
+  std::vector<const net::LazyShortestPaths*> paths_of_link(vn.num_links());
   for (int l = 0; l < vn.num_links(); ++l) {
-    const double beta = vn.vlink(l).size;
-    const net::AllPairsShortestPaths* found = nullptr;
-    for (const auto& [b, ap] : by_beta)
-      if (b == beta) found = ap.get();
-    if (!found) {
-      // Saturated links get +inf weight: Dijkstra never relaxes over them.
+    const double size = vn.vlink(l).size;
+    const std::size_t k =
+        std::find(sizes.begin(), sizes.end(), size) - sizes.begin();
+    if (k == sizes.size()) {
       std::vector<double> w = plain.link_weight;
       for (net::LinkId sl = 0; sl < s.num_links(); ++sl)
-        if (load.residual(s.link_element(sl)) < beta * demand - 1e-9)
+        if (load.residual(s.link_element(sl)) < size * demand - 1e-9)
           w[sl] = kInf;
-      by_beta.emplace_back(
-          beta, std::make_unique<net::AllPairsShortestPaths>(s, w));
-      found = by_beta.back().second.get();
+      sizes.push_back(size);
+      filtered.emplace_back(s, std::move(w));
     }
-    apsp_of_link[l] = found;
+    paths_of_link[l] = &filtered[k];
   }
+  const auto paths_of = [&](int l) -> const net::LazyShortestPaths& {
+    return *paths_of_link[l];
+  };
+  // Each VNF's host must fit that VNF alone; θ is pinned to the ingress.
+  const auto fits = [&](int i, net::NodeId v) {
+    return i == 0 || !(load.residual(s.node_element(v)) <
+                       vn.vnode(i).size * demand - 1e-9);
+  };
 
-  std::vector<std::vector<double>> dp(n_virt, std::vector<double>(n_sub, 0.0));
-  std::vector<std::vector<net::NodeId>> choice(
-      n_virt, std::vector<net::NodeId>(n_sub, -1));
-  const auto& order = vn.preorder();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const int i = *it;
-    for (net::NodeId v = 0; v < n_sub; ++v) {
-      const double coeff = net::eta(s, vn, i, v);
-      const double need = vn.vnode(i).size * demand;
-      if (!std::isfinite(coeff) ||
-          (i != 0 && load.residual(s.node_element(v)) < need - 1e-9)) {
-        dp[i][v] = kInf;
-        continue;
-      }
-      double total = vn.vnode(i).size * coeff * plain.node_cost[v];
-      for (const int j : vn.children(i)) {
-        const int vl = vn.parent_link(j);
-        const double beta_link = vn.vlink(vl).size;
-        double best = kInf;
-        net::NodeId best_w = -1;
-        for (net::NodeId w = 0; w < n_sub; ++w) {
-          if (dp[j][w] == kInf) continue;
-          const double d = apsp_of_link[vl]->dist(v, w);
-          if (d == kInf) continue;
-          const double c = beta_link * d + dp[j][w];
-          if (c < best) {
-            best = c;
-            best_w = w;
-          }
-        }
-        if (best == kInf) {
-          total = kInf;
-          break;
-        }
-        choice[j][v] = best_w;
-        total += best;
-      }
-      dp[i][v] = total;
-    }
-  }
-  if (dp[0][ingress] == kInf) return std::nullopt;
-
-  net::Embedding e;
-  e.node_map.assign(n_virt, -1);
-  e.link_paths.assign(vn.num_links(), {});
-  e.node_map[0] = ingress;
-  for (const int i : order) {
-    if (i == 0) continue;
-    const net::NodeId pv = e.node_map[vn.parent(i)];
-    const net::NodeId w = choice[i][pv];
-    OLIVE_ASSERT(w >= 0);
-    e.node_map[i] = w;
-    if (w != pv)
-      e.link_paths[vn.parent_link(i)] = apsp_of_link[vn.parent_link(i)]->path(pv, w);
-  }
-  return e;
+  std::vector<std::vector<double>> dp;
+  std::vector<std::vector<net::NodeId>> choice;
+  run_tree_dp(s, vn, plain, paths_of, fits, dp, choice);
+  return reconstruct_tree_embedding(s, vn, ingress, paths_of, dp, choice);
 }
 
 std::optional<net::Embedding> greedy_collocated_embedding(

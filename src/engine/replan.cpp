@@ -161,8 +161,11 @@ ReplayScore replay_window(core::OnlineEmbedder& world,
 
 ReplanPolicy::ReplanPolicy(const net::SubstrateNetwork& substrate,
                            const std::vector<net::Application>& apps,
-                           ReplanConfig config)
-    : substrate_(substrate), apps_(apps), config_(std::move(config)) {
+                           ReplanConfig config, serve::Clock& clock)
+    : substrate_(substrate),
+      apps_(apps),
+      config_(std::move(config)),
+      clock_(clock) {
   if (config_.period > 0) {
     OLIVE_REQUIRE(config_.install_delay >= 1 &&
                       config_.install_delay < config_.period,
@@ -175,11 +178,9 @@ ReplanPolicy::ReplanPolicy(const net::SubstrateNetwork& substrate,
 ReplanPolicy::~ReplanPolicy() {
   // A solve launched near the end of the run may never reach its install
   // slot; join it so the captured references stay valid until it finishes.
-  if (pending_) {
-    if (pending_->result.valid()) pending_->result.wait();
-    for (auto& f : pending_->portfolio)
+  if (pending_)
+    for (auto& f : pending_->candidates)
       if (f.valid()) f.wait();
-  }
 }
 
 bool ReplanPolicy::wants_launch(std::int64_t slot) const noexcept {
@@ -199,8 +200,8 @@ std::int64_t ReplanPolicy::window_start(std::int64_t slot) const noexcept {
 void ReplanPolicy::launch(const workload::Trace& trace, int base,
                           std::int64_t slot,
                           const std::vector<double>& capacities,
-                          const core::OnlineEmbedder* world,
-                          const std::vector<double>* psi) {
+                          const core::OnlineEmbedder& world,
+                          const std::vector<double>& psi) {
   OLIVE_ASSERT(!pending_);
   failure_hits_ = 0;  // the burst trigger re-arms per launch attempt
   const int window = config_.window > 0 ? config_.window : config_.period;
@@ -209,89 +210,48 @@ void ReplanPolicy::launch(const workload::Trace& trace, int base,
   workload::Trace clipped = clip_window(trace, base, from, slot);
   if (clipped.empty()) return;  // nothing to plan for this window
 
-  core::AggregationConfig acfg = config_.aggregation;
-  acfg.horizon = static_cast<int>(slot - from);
   const int sequence = sequence_++;
-  Rng rng = Rng(config_.seed)
-                .fork(stable_hash("replan"))
-                .fork(static_cast<std::uint64_t>(sequence) + 1);
+  const Rng rng = Rng(config_.seed)
+                      .fork(stable_hash("replan"))
+                      .fork(static_cast<std::uint64_t>(sequence) + 1);
 
-  ReplanEvent event;
-  event.sequence = sequence;
-  event.launch_slot = slot;
-  event.install_slot = slot + config_.install_delay;
-
-  const int K = std::max(1, config_.candidates);
-  if (K == 1) {
-    // The single-solve policy — the portfolio machinery below never runs,
-    // keeping candidates == 1 bit-identical to the pre-portfolio engine.
-    // The async solve: aggregate the window, then PLAN-VNE with the column
-    // cache and basis carried from the previous re-plan.  `this` outlives
-    // the future (the destructor joins), and consecutive solves never
-    // overlap (install_delay < period), so cache_/warm_ are touched by one
-    // task at a time.
-    auto task = [this, clipped = std::move(clipped), acfg, rng, event,
-                 capacities]() mutable -> Result {
-      // Wall clock feeds solve_seconds, a diagnostic only — never a
-      // decision.
-      const auto start = std::chrono::steady_clock::now();
-      const auto aggregates = core::aggregate_history(
-          clipped, static_cast<int>(apps_.size()), substrate_.num_nodes(),
-          acfg, rng);
-      Result out;
-      out.event = event;
-      // Capacity-aware pricing: the launch-slot snapshot rides in as the
-      // plan solver's overlay (empty = nominal; PlanVneConfig::capacities).
-      core::PlanVneConfig plan_cfg = config_.plan;
-      if (!capacities.empty()) plan_cfg.capacities = std::move(capacities);
-      out.plan = core::solve_plan_vne(
-          substrate_, apps_, aggregates, plan_cfg, &out.event.info, &cache_,
-          config_.warm_start ? &warm_ : nullptr);
-      out.event.classes = out.plan.num_classes();
-      out.event.solve_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      return out;
-    };
-    Pending p;
-    p.install_slot = event.install_slot;
-    p.result = ThreadPool::global().submit(std::move(task));
-    pending_ = std::move(p);
-    return;
+  // Everything a candidate reads is captured by value on this (the
+  // engine's) thread at the policy-fixed slot: its private clipped window,
+  // its recipe and, in portfolio mode, the world snapshot.  The candidates
+  // then race freely — the scores are pure functions of those inputs, so
+  // the winner is the same at every thread count.  A lone candidate has
+  // nothing to be ranked against: it takes no snapshot and is not scored.
+  const int K = config_.candidates;
+  const bool scored = K > 1;
+  core::WorldState snap;
+  if (scored) {
+    snap = world.snapshot();
+    OLIVE_REQUIRE(!snap.empty(),
+                  "portfolio re-planning requires an embedder with world "
+                  "snapshot support (OnlineEmbedder::snapshot)");
   }
 
-  // Portfolio launch.  Everything a candidate reads is captured by value on
-  // this (the engine's) thread at the policy-fixed slot: the world snapshot,
-  // its private clipped window, its recipe, and private copies of the
-  // column cache and warm-start basis.  The K solves then race freely — the
-  // scores are pure functions of those inputs, so the winner is the same at
-  // every thread count.
-  OLIVE_REQUIRE(world != nullptr && psi != nullptr,
-                "portfolio re-planning (candidates > 1) needs the live "
-                "embedder and the rejection penalties");
-  core::WorldState snap = world->snapshot();
-  OLIVE_REQUIRE(!snap.empty(),
-                "portfolio re-planning requires an embedder with world "
-                "snapshot support (OnlineEmbedder::snapshot)");
-
-  event.candidates = K;
   const std::int64_t horizon = slot - from;
   Pending p;
-  p.install_slot = event.install_slot;
-  p.event = event;
-  p.portfolio.reserve(static_cast<std::size_t>(K));
+  p.event.sequence = sequence;
+  p.event.launch_slot = slot;
+  p.event.install_slot = slot + config_.install_delay;
+  p.event.candidates = K;
+  p.candidates.reserve(static_cast<std::size_t>(K));
   for (int k = 0; k < K; ++k) {
     const CandidateRecipe recipe = candidate_recipe(k, config_, window);
     const std::int64_t kfrom = std::max<std::int64_t>(0, slot - recipe.window);
-    workload::Trace kclipped =
-        k == 0 ? clipped : clip_window(trace, base, kfrom, slot);
-    core::AggregationConfig kacfg = acfg;
-    kacfg.alpha = recipe.alpha;
-    kacfg.horizon = static_cast<int>(slot - kfrom);
+    workload::Trace kclipped = k > 0    ? clip_window(trace, base, kfrom, slot)
+                               : scored ? clipped
+                                        : std::move(clipped);
+    core::AggregationConfig acfg = config_.aggregation;
+    acfg.alpha = recipe.alpha;
+    acfg.horizon = static_cast<int>(slot - kfrom);
     core::PlanVneConfig kplan = config_.plan;
     kplan.psi_scale = recipe.psi_scale;
     if (recipe.early_gap > 0) kplan.lp.early_term_gap = recipe.early_gap;
+    // Capacity-aware pricing: the launch-slot snapshot rides in as the plan
+    // solver's overlay (empty = nominal; PlanVneConfig::capacities).
     if (!capacities.empty()) kplan.capacities = capacities;
     // Candidate 0 keeps the launch's base stream; variations fork their own
     // so adding candidates never perturbs the baseline's bootstrap.
@@ -300,68 +260,72 @@ void ReplanPolicy::launch(const workload::Trace& trace, int base,
                : rng.fork(stable_hash("candidate"))
                      .fork(static_cast<std::uint64_t>(k));
 
-    auto task = [this, kclipped = std::move(kclipped), kacfg, krng,
-                 kplan = std::move(kplan), scoring = clipped, horizon,
-                 kpsi = *psi, snap, world]() mutable -> CandidateOutcome {
-      const auto start = std::chrono::steady_clock::now();
+    // `this` outlives the task (the destructor joins), and consecutive
+    // launches never overlap (install_delay < period), so nothing but this
+    // launch's candidates touches cache_/warm_ before collect() replaces
+    // them: a lone candidate takes them over instead of copying.
+    auto task = [this, scored, kclipped = std::move(kclipped), acfg, krng,
+                 kplan = std::move(kplan),
+                 scoring = scored ? clipped : workload::Trace{}, horizon,
+                 kpsi = scored ? psi : std::vector<double>{}, snap,
+                 &world]() mutable -> CandidateOutcome {
+      const auto start = clock_.now();
       CandidateOutcome out;
-      out.cache = cache_;  // private copies; collect() adopts the winner's
-      out.warm = warm_;
+      if (scored) {
+        out.cache = cache_;  // private copies; collect() adopts the winner's
+        out.warm = warm_;
+      } else {
+        out.cache = std::move(cache_);
+        out.warm = std::move(warm_);
+      }
       Rng rng_local = krng;
       const auto aggregates = core::aggregate_history(
           kclipped, static_cast<int>(apps_.size()), substrate_.num_nodes(),
-          kacfg, rng_local);
-      out.plan = core::solve_plan_vne(
-          substrate_, apps_, aggregates, kplan, &out.info, &out.cache,
-          config_.warm_start ? &out.warm : nullptr);
+          acfg, rng_local);
+      out.plan = core::solve_plan_vne(substrate_, apps_, aggregates, kplan,
+                                      &out.info, &out.cache, &out.warm);
       out.classes = out.plan.num_classes();
-      // Score: clone the launch-slot world, install this candidate's plan,
-      // replay the (shared) trailing admission window, tally realized cost.
-      auto clone = world->fork(snap);
-      OLIVE_ASSERT(clone != nullptr);
-      clone->install_plan(out.plan);
-      out.replay = replay_window(*clone, scoring, horizon, kpsi);
-      out.score = out.replay.total();
+      if (scored) {
+        // Score: clone the launch-slot world, install this candidate's
+        // plan, replay the (shared) trailing admission window, tally
+        // realized cost.
+        auto clone = world.fork(snap);
+        OLIVE_ASSERT(clone != nullptr);
+        clone->install_plan(out.plan);
+        out.score = replay_window(*clone, scoring, horizon, kpsi).total();
+      }
       out.solve_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
+          std::chrono::duration<double>(clock_.now() - start).count();
       return out;
     };
-    p.portfolio.push_back(ThreadPool::global().submit(std::move(task)));
+    p.candidates.push_back(ThreadPool::global().submit(std::move(task)));
   }
   pending_ = std::move(p);
 }
 
 std::int64_t ReplanPolicy::pending_install_slot() const noexcept {
-  return pending_ ? pending_->install_slot : -1;
+  return pending_ ? pending_->event.install_slot : -1;
 }
 
 ReplanPolicy::Result ReplanPolicy::collect() {
   OLIVE_ASSERT(pending_);
-  if (pending_->portfolio.empty()) {
-    Result out = pending_->result.get();
-    pending_.reset();
-    return out;
-  }
-
-  // Portfolio: wait for every candidate (deterministic — the install slot
-  // blocks on the slowest solve either way), pick the lowest realized cost,
-  // ties to the lowest index.  Adopt the winner's cache and basis so the
-  // carried warm-start state matches the plan actually installed.
+  // Wait for every candidate (deterministic — the install slot blocks on
+  // the slowest solve either way), pick the lowest realized cost, ties to
+  // the lowest index; a lone candidate wins unscored.  Adopt the winner's
+  // cache and basis so the carried warm-start state matches the plan
+  // actually installed.
   std::vector<CandidateOutcome> outcomes;
-  outcomes.reserve(pending_->portfolio.size());
-  for (auto& f : pending_->portfolio) outcomes.push_back(f.get());
+  outcomes.reserve(pending_->candidates.size());
+  for (auto& f : pending_->candidates) outcomes.push_back(f.get());
   int winner = 0;
   for (int k = 1; k < static_cast<int>(outcomes.size()); ++k)
     if (outcomes[k].score < outcomes[winner].score) winner = k;
 
   Result out;
-  out.event = pending_->event;
+  out.event = std::move(pending_->event);
   out.event.winner = winner;
-  out.event.scores.reserve(outcomes.size());
   for (const auto& o : outcomes) {
-    out.event.scores.push_back(o.score);
+    if (outcomes.size() > 1) out.event.scores.push_back(o.score);
     out.event.solve_seconds = std::max(out.event.solve_seconds,
                                        o.solve_seconds);
   }

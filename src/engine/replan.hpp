@@ -5,21 +5,23 @@
 // re-aggregates the trailing `window` slots of observed demand with the same
 // bootstrapped-percentile estimator the offline plan uses, solves PLAN-VNE
 // for the result *asynchronously* on the shared ThreadPool (carrying the
-// column cache and the PlanWarmStart basis across consecutive re-plans, the
-// PR-3 machinery), and hands the finished plan back to the slot loop at a
-// deterministic install slot `launch + install_delay`.  The observed demand
-// is the loop's admission log, trimmed at each launch to the requests
-// clip_window can still select, so every run — materialized, streamed or
-// live — aggregates the same window.
+// column cache and the PlanWarmStart basis across consecutive re-plans),
+// and hands the finished plan back to the slot loop at a deterministic
+// install slot `launch + install_delay`.  The observed demand is the loop's
+// admission log, trimmed at each launch to the requests clip_window can
+// still select, so every run — materialized, streamed, simulated or live —
+// aggregates the same window.
 //
-// Portfolio mode (docs/replanning.md): with `candidates` = K > 1, each
-// launch forks K candidate configurations — the exact baseline plus
-// systematic window / percentile / ψ variations — solves them concurrently,
-// replays the trailing admission window against a cloned WorldState per
-// candidate to score realized resource cost + rejections, and hot-swaps only
-// the winner at the policy-fixed install slot.  Losers run bounded
-// "good-enough" solves (SimplexOptions::early_term_gap).  Measured on
-// olive_bench's replan_portfolio workload (Iris, K = 4, one thread), a
+// Every launch runs one candidate loop (docs/replanning.md).  With
+// `candidates` = K, it forks K candidate configurations — the exact
+// baseline plus systematic window / percentile / ψ variations — and solves
+// them concurrently.  K = 1 is the baseline alone: nothing to rank, so it
+// is not scored and installs unconditionally.  K > 1 is portfolio mode:
+// each candidate replays the trailing admission window against a cloned
+// WorldState to score realized resource cost + rejections, and only the
+// winner is hot-swapped at the policy-fixed install slot.  Losers run
+// bounded "good-enough" solves (SimplexOptions::early_term_gap).  Measured
+// on olive_bench's replan_portfolio workload (Iris, K = 4, one thread), a
 // launch spends about 121 ms replaying, 63 ms in LP solves and 16 ms
 // aggregating, all four candidates together (docs/replanning.md).
 //
@@ -30,7 +32,8 @@
 // scores) are a pure function of the trace prefix and the launch-slot world
 // snapshot, so every thread count produces bit-identical runs;
 // OLIVE_THREADS only moves how much of the solves overlap the embedding
-// loop.
+// loop.  The solves time themselves through the loop's serve::Clock, so a
+// simulated run reads no wall time even while it re-plans.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +47,7 @@
 #include "core/plan_solver.hpp"
 #include "net/substrate.hpp"
 #include "net/vnet.hpp"
+#include "serve/clock.hpp"
 #include "workload/request.hpp"
 
 namespace olive::engine {
@@ -66,10 +70,6 @@ struct ReplanConfig {
   core::AggregationConfig aggregation;
   /// PLAN-VNE solver settings for the re-plan solves.
   core::PlanVneConfig plan;
-  /// Carry the column cache and the optimal-basis snapshot across
-  /// consecutive re-plans (off forces every re-plan to a cold solve; the
-  /// solved plans are identical either way).
-  bool warm_start = true;
   /// Seed of the bootstrap streams (forked per re-plan sequence number).
   std::uint64_t seed = 1;
   /// >= 1: a failure burst — this many failure-hit embeddings since the
@@ -88,12 +88,12 @@ struct ReplanConfig {
   /// behavior).  Irrelevant without a failure trace — the snapshot then
   /// equals the nominal capacities and the solve is bit-identical anyway.
   bool capacity_aware = true;
-  /// Portfolio width K.  1 — the default — is exactly the single-solve
-  /// policy above, bit for bit.  K > 1 enables portfolio re-planning:
-  /// candidate 0 is the exact baseline configuration, candidates 1..K-1
-  /// vary the aggregation percentile, the demand window, and the ψ scale
-  /// along a fixed recipe cycle, each solved concurrently and scored by
-  /// replaying the trailing window against a world snapshot.  Requires an
+  /// Portfolio width K.  Candidate 0 is the exact baseline configuration;
+  /// 1 — the default — solves it alone and installs it unscored.  K > 1
+  /// enables portfolio re-planning: candidates 1..K-1 vary the aggregation
+  /// percentile, the demand window, and the ψ scale along a fixed recipe
+  /// cycle, all K are solved concurrently and scored by replaying the
+  /// trailing window against a world snapshot.  K > 1 requires an
   /// embedder with WorldState support (OnlineEmbedder::snapshot).
   int candidates = 1;
   /// Early-termination gap for the non-baseline candidates' master solves
@@ -154,12 +154,14 @@ struct ReplanEvent {
   std::int64_t install_slot = 0;  ///< deterministic swap slot (launch+delay)
   bool installed = false;  ///< false iff the embedder refused the plan
   int classes = 0;         ///< classes in the new plan
-  double solve_seconds = 0;  ///< wall-clock of the async solve itself
-  core::PlanSolveInfo info;  ///< master-LP work of the solve
+  /// Clock time of the slowest candidate's solve (and replay), read
+  /// through the loop's serve::Clock: 0 under a SimulatedClock.
+  double solve_seconds = 0;
+  core::PlanSolveInfo info;  ///< master-LP work of the winner's solve
   int candidates = 1;        ///< portfolio width of this launch
   int winner = 0;            ///< index of the installed candidate
-  /// Replay score per candidate (empty when candidates == 1 — the single
-  /// solve installs unconditionally, nothing is scored).
+  /// Replay score per candidate (empty when candidates == 1 — the lone
+  /// candidate installs unconditionally, nothing is scored).
   std::vector<double> scores;
 };
 
@@ -167,8 +169,12 @@ struct ReplanEvent {
 /// cache/warm-start state.  One instance lives inside each SlotLoop.
 class ReplanPolicy {
  public:
+  /// `clock` times the solves (ReplanEvent::solve_seconds); its now() is
+  /// called from pool threads.  Everything passed by reference must outlive
+  /// the policy.
   ReplanPolicy(const net::SubstrateNetwork& substrate,
-               const std::vector<net::Application>& apps, ReplanConfig config);
+               const std::vector<net::Application>& apps, ReplanConfig config,
+               serve::Clock& clock);
   ~ReplanPolicy();  // joins any still-flying solve
 
   ReplanPolicy(const ReplanPolicy&) = delete;
@@ -189,14 +195,15 @@ class ReplanPolicy {
   /// no demand.  `capacities`, if non-empty, is the current-capacity
   /// snapshot the solves price against (ReplanConfig::capacity_aware;
   /// copied, so the caller's view may keep mutating while the solves fly).
-  /// Portfolio mode (candidates > 1) additionally needs `world` — the live
-  /// embedder, snapshotted here on the caller's thread at the policy-fixed
-  /// slot — and `psi`, the per-application rejection penalties the replay
-  /// scorer charges; the call refuses embedders without snapshot support.
+  /// `world` is the live embedder and `psi` the per-application rejection
+  /// penalties; only portfolio mode (candidates > 1) reads them, to
+  /// snapshot the embedder here on the caller's thread at the policy-fixed
+  /// slot and to charge rejections in the replay scorer.  Portfolio mode
+  /// refuses embedders without snapshot support.
   void launch(const workload::Trace& trace, int base, std::int64_t slot,
-              const std::vector<double>& capacities = {},
-              const core::OnlineEmbedder* world = nullptr,
-              const std::vector<double>* psi = nullptr);
+              const std::vector<double>& capacities,
+              const core::OnlineEmbedder& world,
+              const std::vector<double>& psi);
 
   /// Install slot of the in-flight solve, or -1 when none is pending.
   std::int64_t pending_install_slot() const noexcept;
@@ -206,7 +213,7 @@ class ReplanPolicy {
     ReplanEvent event;
   };
 
-  /// Blocks until the pending solve(s) finish and returns the (winning)
+  /// Blocks until the pending candidates finish and returns the winning
   /// plan.  Call exactly at its install slot.
   Result collect();
 
@@ -220,32 +227,30 @@ class ReplanPolicy {
   void note_failure_impact(int broken) noexcept { failure_hits_ += broken; }
 
  private:
-  /// One portfolio candidate's complete outcome.  Each candidate solves
-  /// against private copies of the column cache and warm-start basis;
-  /// collect() adopts the winner's, so the carried state always matches the
-  /// plan that was actually installed.
+  /// One candidate's complete outcome.  A portfolio candidate solves
+  /// against private copies of the column cache and warm-start basis; a
+  /// lone candidate (K = 1) takes them over.  collect() adopts the
+  /// winner's, so the carried state always matches the plan that was
+  /// actually installed.
   struct CandidateOutcome {
     core::Plan plan;
     core::PlanSolveInfo info;
     int classes = 0;
     double solve_seconds = 0;
-    ReplayScore replay;
-    double score = 0;
+    double score = 0;  ///< replay score (0 for a lone candidate)
     core::PlanColumnCache cache;
     core::PlanWarmStart warm;
   };
 
   struct Pending {
-    std::int64_t install_slot = 0;
-    std::future<Result> result;  ///< the single solve when candidates == 1
-    /// The K concurrent candidate solves when candidates > 1.
-    std::vector<std::future<CandidateOutcome>> portfolio;
-    ReplanEvent event;  ///< base event the portfolio winner fills in
+    ReplanEvent event;  ///< launch fields; collect() fills in the winner
+    std::vector<std::future<CandidateOutcome>> candidates;
   };
 
   const net::SubstrateNetwork& substrate_;
   const std::vector<net::Application>& apps_;
   ReplanConfig config_;
+  serve::Clock& clock_;
   core::PlanColumnCache cache_;
   core::PlanWarmStart warm_;
   std::optional<Pending> pending_;

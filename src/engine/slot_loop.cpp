@@ -144,7 +144,7 @@ SlotLoop::SlotLoop(const net::SubstrateNetwork& substrate,
       psi_(resolve_psi(substrate, apps, config_.sim)),
       metrics_(blank_metrics(substrate, apps, algo.name())),
       tally_{&config_.sim, &psi_, &metrics_},
-      replan_(substrate, apps, config_.replan),
+      replan_(substrate, apps, config_.replan, clock),
       capacity_(substrate, config_.failures.trace),
       migrator_(substrate, apps) {
   algo_.reset();
@@ -247,7 +247,7 @@ void SlotLoop::launch_replan() {
   trim_admission_log(log_, base_, replan_.window_start(t_));
   // Portfolio mode also snapshots the embedder here, at the policy-fixed
   // slot, and scores candidates with the ψ the metrics charge.
-  replan_.launch(log_, base_, t_, capacities, &algo_, &psi_);
+  replan_.launch(log_, base_, t_, capacities, algo_, psi_);
   metrics_.algo_seconds += seconds_since(start);
 }
 

@@ -16,9 +16,9 @@
 // counter: calendar entries keyed by slot and freed as the slot passes, a
 // trailing series ring) — memory follows the active leases, never uptime.
 //
-// The loop reads time only through the injected Clock, so a run under a
-// SimulatedClock reads no wall time (its algo_seconds stays 0); only the
-// ReplanPolicy's solve_seconds diagnostic reads the wall clock.
+// The loop reads time only through the injected Clock, and so do the
+// ReplanPolicy's solves, so a run under a SimulatedClock reads no wall time
+// (its algo_seconds and replan_seconds stay 0).
 #pragma once
 
 #include <cstddef>

@@ -313,15 +313,13 @@ void Simplex::reset_pricing_weights() {
   // there keeps the approximation error bounded by the refactor interval
   // and makes the weight state a pure function of the pivot history.
   //
-  // Devex restarts the unit reference framework.  SteepestEdge restarts
-  // from the static norms 1 + ||a_j||^2 — exact for B = I (the cold-start
-  // slack basis) and a far better estimate of 1 + ||B^-1 a_j||^2 than 1.0
-  // for the columns the per-pivot recurrence never touches (it only
-  // updates the candidate list, so with unit resets a full scan would
-  // rank almost every column exactly like Dantzig).
+  // The restart installs the static norms 1 + ||a_j||^2 — exact for B = I
+  // (the cold-start slack basis) and a far better estimate of
+  // 1 + ||B^-1 a_j||^2 than 1.0 for the columns the per-pivot recurrence
+  // never touches (it only updates the candidate list, so with unit resets
+  // a full scan would rank almost every column exactly like Dantzig).
   if (options_.pricing == PricingRule::Dantzig) return;
-  weight_.assign(cols_.size(), 1.0);
-  if (options_.pricing != PricingRule::SteepestEdge) return;
+  weight_.resize(cols_.size());
   for (std::size_t c = 0; c < cols_.size(); ++c) {
     double norm2 = 1.0;
     for (const double v : cols_[c].vals) norm2 += v * v;
@@ -333,9 +331,8 @@ void Simplex::update_pricing_weights(int entering, int leaving, double pivot,
                                      const std::vector<double>& rho) {
   if (options_.pricing == PricingRule::Dantzig) return;
   // Forrest–Goldfarb max-form recurrence over the reference framework:
-  // gamma_q is the entering column's framework weight (for SteepestEdge
-  // that framework is anchored to the exact slack-basis norms by
-  // reset_pricing_weights, for Devex it is the unit framework).
+  // gamma_q is the entering column's framework weight (anchored to the
+  // exact slack-basis norms by reset_pricing_weights).
   //
   // The update is restricted to the candidate list: those are the only
   // columns that can enter before the next full scan rebuilds the list

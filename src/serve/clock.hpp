@@ -15,9 +15,9 @@
 // Wall-entropy contract: on the simulated path, every time read goes
 // through the injected Clock; code running under a SimulatedClock performs
 // no std::chrono::steady_clock::now() calls at all.  The slot loop times
-// its `algo_seconds` diagnostic through the injected Clock; only the
-// re-plan solves' `solve_seconds` reads wall time, which is why the
-// simulated server refuses re-planning (docs/serving.md).
+// its `algo_seconds` diagnostic and the re-plan solves their
+// `solve_seconds` through the injected Clock, so the simulated server
+// re-plans without reading wall time (docs/serving.md).
 #pragma once
 
 #include <atomic>

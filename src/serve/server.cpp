@@ -25,19 +25,17 @@ Server::~Server() {
 
 core::SimMetrics Server::run_simulated(core::OnlineEmbedder& algo,
                                        workload::TraceStream& stream) {
-  // The re-plan solves time themselves on the wall clock (solve_seconds),
-  // which this path must never read.
-  OLIVE_REQUIRE(config_.replan.period == 0,
-                "run_simulated does not support mid-run re-planning");
   OLIVE_REQUIRE(!running(), "run_simulated while live serving is running");
 
   // Zero wall entropy on this whole path: the only clock is simulated and
-  // starts at the epoch.  No work moves it, so algo_seconds stays 0 and a
-  // run lasts exactly its slot count in slot_duration ticks.
+  // starts at the epoch, and the re-plan solves read it too.  No work moves
+  // it, so algo_seconds and replan_seconds stay 0 and a run lasts exactly
+  // its slot count in slot_duration ticks.
   SimulatedClock clock;
   stats_ = ServerStats{};
-  metrics_ = engine::SlotLoop(substrate_, apps_, {config_.sim, {}, {}}, algo,
-                              clock, {}, &stats_)
+  metrics_ = engine::SlotLoop(substrate_, apps_,
+                              {config_.sim, config_.replan, {}}, algo, clock,
+                              {}, &stats_)
                  .run(stream);
   stats_.submitted = stats_.decided;  // every request "arrived" in-process
   stats_.serve_seconds =
@@ -93,6 +91,11 @@ Server::Submit Server::submit(const workload::Request& r) {
   } guard{in_flight_};
   if (!running() || stop_requested_.load(std::memory_order_seq_cst))
     return Submit::Stopped;
+  // Refused here, on the producer's thread: the serving thread would throw
+  // on a bad app or ingress and never release a non-positive duration.
+  if (workload::request_defect(r, substrate_.num_nodes(),
+                               static_cast<int>(apps_.size())))
+    return Submit::Invalid;
   Clock* const clock = clock_.load(std::memory_order_acquire);
   if (clock == nullptr) return Submit::Stopped;
   Queued q{r, clock->now()};

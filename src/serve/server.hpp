@@ -16,9 +16,11 @@
 //    per-request admission latency into a log-scale histogram.
 //
 // Two-mode determinism contract: the SimulatedClock path reads no wall
-// time at all (bit-identical runs, zero wall entropy); the SteadyClock path
-// is inherently timing-dependent and is gated on throughput/latency
-// (bench/serve_load.cpp, CI cliff gate) instead of bit identity.
+// time at all, re-plan solves included (bit-identical runs, zero wall
+// entropy); the SteadyClock path is inherently timing-dependent and is
+// gated on throughput/latency (bench/serve_load.cpp, CI cliff gate)
+// instead of bit identity.  Both paths re-plan, at K = 1 or as a
+// portfolio; only the simulated path keeps per-request records.
 #pragma once
 
 #include <atomic>
@@ -51,12 +53,11 @@ struct ServerConfig {
   /// batch engine.  Live runs are unbounded: drain_slots is ignored and
   /// the run ends at stop().
   core::SimulatorConfig sim;
-  /// Mid-run re-planning (engine::ReplanPolicy).  In live mode the demand
+  /// Mid-run re-planning (engine::ReplanPolicy), in both modes.  The demand
   /// window is clipped from the loop's log of drained arrivals, exactly as
-  /// an engine run clips it; solves run on the background ThreadPool and
-  /// install at policy-fixed slots.  period == 0 (default) disables it;
-  /// run_simulated requires 0 (the solves time themselves on the wall
-  /// clock).
+  /// an engine run clips it; solves run on the background ThreadPool,
+  /// timed through the server's Clock, and install at policy-fixed slots.
+  /// period == 0 (default) disables it.
   engine::ReplanConfig replan;
   /// Admission queue capacity (rounded up to a power of two).  A full queue
   /// bounces submit() with Submit::QueueFull — explicit backpressure.
@@ -86,6 +87,7 @@ class Server {
     Enqueued,   ///< accepted into the admission queue
     QueueFull,  ///< bounced by backpressure (counted in queue_rejects)
     Stopped,    ///< server not started, or stop() already requested
+    Invalid,    ///< malformed request (workload::request_defect), dropped
   };
 
   Server(const net::SubstrateNetwork& substrate,
@@ -98,9 +100,9 @@ class Server {
   /// Simulation mode: drives `stream` to completion on the caller's thread
   /// under an internal SimulatedClock and returns the run's SimMetrics —
   /// bit-identical to Engine::run_stream(algo, stream) with the same
-  /// SimulatorConfig.  Refuses re-planning; reads no wall clock anywhere
-  /// (algo_seconds stays 0).  stats() is filled deterministically
-  /// afterwards.
+  /// SimulatorConfig and ReplanConfig.  Reads no wall clock anywhere, the
+  /// re-plan solves included (algo_seconds and replan_seconds stay 0).
+  /// stats() is filled deterministically afterwards.
   core::SimMetrics run_simulated(core::OnlineEmbedder& algo,
                                  workload::TraceStream& stream);
 
@@ -114,6 +116,8 @@ class Server {
   /// Hands one request to the serving thread (id and arrival slot are
   /// assigned by the server at drain time; the caller's values are
   /// ignored).  Wait-free; returns QueueFull instead of ever blocking.
+  /// A request with a bad duration, ingress, app or demand returns Invalid
+  /// and is neither enqueued nor counted in ServerStats::submitted.
   /// Safe to race with stop(): each call registers in an in-flight window
   /// the serving thread waits out before its final drain, so a submission
   /// that passed the stop check is always decided (drain=true) or counted

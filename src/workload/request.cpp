@@ -1,5 +1,7 @@
 #include "workload/request.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace olive::workload {
@@ -11,16 +13,22 @@ std::vector<const Request*> active_at(const Trace& trace, int t) {
   return out;
 }
 
+const char* request_defect(const Request& r, int num_nodes, int num_apps) {
+  if (r.duration < 1) return "request duration must be >= 1 slot";
+  if (r.ingress < 0 || r.ingress >= num_nodes)
+    return "request ingress out of range";
+  if (r.app < 0 || r.app >= num_apps) return "request app out of range";
+  if (!std::isfinite(r.demand) || r.demand <= 0)
+    return "request demand must be positive and finite";
+  return nullptr;
+}
+
 void validate_trace(const Trace& trace, int num_nodes, int num_apps) {
   int prev_arrival = 0;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const Request& r = trace[i];
+  for (const Request& r : trace) {
     OLIVE_REQUIRE(r.arrival >= prev_arrival, "trace must be arrival-sorted");
-    OLIVE_REQUIRE(r.duration >= 1, "request duration must be >= 1 slot");
-    OLIVE_REQUIRE(r.ingress >= 0 && r.ingress < num_nodes,
-                  "request ingress out of range");
-    OLIVE_REQUIRE(r.app >= 0 && r.app < num_apps, "request app out of range");
-    OLIVE_REQUIRE(r.demand > 0, "request demand must be positive");
+    if (const char* defect = request_defect(r, num_nodes, num_apps))
+      throw InvalidArgument(defect);
     prev_arrival = r.arrival;
   }
 }

@@ -34,7 +34,13 @@ using Trace = std::vector<Request>;
 /// per-slot SLOTOFF baseline via incremental bookkeeping instead).
 std::vector<const Request*> active_at(const Trace& trace, int t);
 
-/// Verifies ordering and field sanity; throws InvalidArgument on violation.
+/// The first defect of one request's fields — duration >= 1, ingress and
+/// app in range, demand positive and finite — or nullptr if it has none.
+/// Arrival and id are not checked: their meaning depends on the caller.
+const char* request_defect(const Request& r, int num_nodes, int num_apps);
+
+/// Verifies ordering and every request's fields (request_defect); throws
+/// InvalidArgument on violation.
 void validate_trace(const Trace& trace, int num_nodes, int num_apps);
 
 }  // namespace olive::workload

@@ -210,6 +210,11 @@ TEST(GreedyEmbed, AvoidsSaturatedNodes) {
   const auto emb = greedy_both(s, vn, 0, 1.0, load);
   ASSERT_TRUE(emb.has_value());
   EXPECT_NE(emb->node_map[1], 1);
+  // So must the capacitated tree DP: neither VNF fits node 1 alone.
+  const auto dp = capacitated_min_cost_tree_embedding(s, vn, 0, 1.0, load);
+  ASSERT_TRUE(dp.has_value());
+  EXPECT_NE(dp->node_map[1], 1);
+  EXPECT_NE(dp->node_map[2], 1);
 }
 
 TEST(GreedyEmbed, AvoidsSaturatedLinks) {
@@ -290,7 +295,8 @@ TEST(GreedyEmbed, NoHostWithNodeRoomRejectsEvenWithFreeLinks) {
 
 TEST(GreedyEmbed, OutOfRangeIngressThrows) {
   // Checked before the host pre-scan: the request below fits no host, and
-  // an out-of-range ingress must still throw rather than reject.
+  // an out-of-range ingress must still throw rather than reject.  The
+  // capacitated tree DP (FULLG, migration repair) checks it too.
   const auto s = tiny_network();
   const auto vn = net::VirtualNetwork::chain({2000}, {1});
   LoadTracker load(s);
@@ -299,6 +305,9 @@ TEST(GreedyEmbed, OutOfRangeIngressThrows) {
     EXPECT_THROW(greedy_collocated_embedding(s, vn, ingress, 1.0, load),
                  InvalidArgument);
     EXPECT_THROW(search.embed(0, ingress, 1.0, load), InvalidArgument);
+    EXPECT_THROW(
+        capacitated_min_cost_tree_embedding(s, vn, ingress, 1.0, load),
+        InvalidArgument);
   }
 }
 

@@ -404,9 +404,20 @@ TEST(EngineReplanPortfolio, WinnerInstallsAndEventsCarryScores) {
   // must not lose to the single-candidate policy on rejections.
   EngineConfig single_cfg{cfg.sim, drifting_replan(cfg), {}};
   Engine single_engine(sc.substrate, sc.apps, single_cfg);
+  CountingObserver single_counter;
+  single_engine.add_observer(&single_counter);
   core::OliveEmbedder single_algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
   const core::SimMetrics single = single_engine.run(single_algo, sc.online);
   EXPECT_LE(portfolio.rejection_rate(), single.rejection_rate());
+
+  // K = 1 is the same candidate loop with one candidate: it wins unscored.
+  ASSERT_EQ(single_counter.replans.size(), 2u);
+  for (const ReplanEvent& ev : single_counter.replans) {
+    EXPECT_TRUE(ev.installed);
+    EXPECT_EQ(ev.candidates, 1);
+    EXPECT_EQ(ev.winner, 0);
+    EXPECT_TRUE(ev.scores.empty());
+  }
 }
 
 TEST(EngineReplanPortfolio, RefusesEmbeddersWithoutWorldSnapshots) {

@@ -17,6 +17,7 @@
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
 #include "net/embedding.hpp"
+#include "serve/server.hpp"
 
 namespace olive::core {
 namespace {
@@ -174,9 +175,11 @@ TEST(ReplanDeterminism, EngineRunBitIdenticalAcrossThreadCounts) {
   cfg.sim.drain_slots = 10;
   const Scenario sc = build_scenario(cfg);
 
-  // `streamed`: the same slot loop fed by Engine::run_stream, whose async
-  // re-plan path this sweep also covers.
-  const auto run_with_threads = [&](int threads, bool streamed) {
+  // The same slot loop under its other drivers: Engine::run_stream, and
+  // serve::Server::run_simulated, whose solves read a SimulatedClock from
+  // the pool threads.  The sweep covers the async re-plan path of each.
+  enum Driver { kRun, kStream, kSimulated };
+  const auto run_with_threads = [&](int threads, Driver driver) {
     engine::EngineConfig ecfg;
     ecfg.sim = cfg.sim;
     ecfg.replan.period = 20;
@@ -186,17 +189,25 @@ TEST(ReplanDeterminism, EngineRunBitIdenticalAcrossThreadCounts) {
     ecfg.replan.seed = cfg.seed;
     engine::Engine eng(sc.substrate, sc.apps, ecfg);
     OliveEmbedder algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
-    if (!streamed) return eng.run(algo, sc.online);
+    if (driver == kRun) return eng.run(algo, sc.online);
     workload::VectorTraceStream stream(sc.online, cfg.trace.horizon);
-    return eng.run_stream(algo, stream);
+    if (driver == kStream) return eng.run_stream(algo, stream);
+    serve::ServerConfig scfg;
+    scfg.sim = ecfg.sim;
+    scfg.replan = ecfg.replan;
+    serve::Server server(sc.substrate, sc.apps, scfg);
+    return server.run_simulated(algo, stream);
   };
 
-  const SimMetrics serial = run_with_threads(1, false);
+  const SimMetrics serial = run_with_threads(1, kRun);
   ASSERT_GT(serial.replans, 0);
-  for (const auto& [threads, streamed] :
-       {std::pair{4, false}, std::pair{1, true}, std::pair{4, true}}) {
-    SCOPED_TRACE(streamed ? "run_stream" : "run");
-    const SimMetrics parallel = run_with_threads(threads, streamed);
+  for (const auto& [threads, driver] :
+       {std::pair{4, kRun}, std::pair{1, kStream}, std::pair{4, kStream},
+        std::pair{1, kSimulated}, std::pair{4, kSimulated}}) {
+    SCOPED_TRACE(driver == kRun      ? "run"
+                 : driver == kStream ? "run_stream"
+                                     : "run_simulated");
+    const SimMetrics parallel = run_with_threads(threads, driver);
     EXPECT_EQ(serial.offered, parallel.offered) << threads;
     EXPECT_EQ(serial.accepted, parallel.accepted) << threads;
     EXPECT_EQ(serial.rejected, parallel.rejected) << threads;
@@ -228,8 +239,8 @@ TEST(ReplanDeterminism, EngineRunBitIdenticalAcrossThreadCounts) {
 // run must be bitwise stable across thread counts (the candidate recipes,
 // the replay scores, and the winner pick are pure functions of the trace
 // prefix and the launch-slot snapshot, so concurrency only moves wall
-// clock).  K = 1 additionally equals the plain single-solve run because it
-// *is* that code path.
+// clock).  K = 1 runs the same candidate loop with a single, unscored
+// candidate.
 TEST(ReplanDeterminism, PortfolioSweepBitwiseStableAcrossThreadCounts) {
   ScenarioConfig cfg = small_config("Iris", 7);
   cfg.drift = 1.5;

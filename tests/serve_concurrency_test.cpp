@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -170,6 +171,9 @@ TEST_F(LiveServer, DrainsEverySubmissionOrBouncesExplicitly) {
           case serve::Server::Submit::Stopped:
             ADD_FAILURE() << "server reported Stopped while running";
             return;
+          case serve::Server::Submit::Invalid:
+            ADD_FAILURE() << "a generated request was refused as invalid";
+            return;
         }
       }
     });
@@ -256,6 +260,9 @@ TEST_F(LiveServer, SubmitRacingStopNeverStrandsARequest) {
           case serve::Server::Submit::QueueFull:
             std::this_thread::yield();
             break;
+          case serve::Server::Submit::Invalid:
+            ADD_FAILURE() << "a generated request was refused as invalid";
+            return;
         }
       }
     });
@@ -307,6 +314,52 @@ TEST_F(LiveServer, StartRefusesPerRequestRecords) {
   serve::SteadyClock clock;
   EXPECT_THROW(server.start(algo, clock), InvalidArgument);
   EXPECT_FALSE(server.running());
+}
+
+TEST_F(LiveServer, SubmitRefusesMalformedRequests) {
+  // A bad app, ingress or demand would throw on the serving thread (and
+  // terminate the process); a non-positive duration would be admitted and
+  // never released.  submit() refuses each one before it is enqueued.
+  serve::ServerConfig scfg;
+  scfg.sim.measure_from = 0;
+  scfg.sim.measure_to = 1 << 30;
+  scfg.slot_duration = 1ms;
+  serve::Server server(substrate_, apps_, scfg);
+  core::OliveEmbedder algo(substrate_, apps_, core::Plan::empty(), "QuickG");
+  // Simulated time moves only while the serving thread idles, so waiting
+  // for it below waits for the serving thread itself, not for a timer.
+  serve::SimulatedClock clock;
+  server.start(algo, clock);
+
+  workload::Request good = bodies_.front();
+  good.duration = 1;
+  std::vector<workload::Request> bad(8, good);
+  bad[0].app = 999;
+  bad[1].app = -1;
+  bad[2].ingress = 9999;
+  bad[3].demand = -1;
+  bad[4].demand = std::numeric_limits<double>::infinity();
+  bad[5].demand = std::numeric_limits<double>::quiet_NaN();
+  bad[6].duration = 0;
+  bad[7].duration = -5;
+  for (std::size_t i = 0; i < bad.size(); ++i)
+    EXPECT_EQ(server.submit(bad[i]), serve::Server::Submit::Invalid)
+        << "request " << i;
+  ASSERT_EQ(server.submit(good), serve::Server::Submit::Enqueued);
+
+  // Let the good request's lease run out before stopping.
+  const auto released = clock.now() + 8 * scfg.slot_duration;
+  while (clock.now() < released) std::this_thread::yield();
+  server.stop(/*drain=*/true);
+
+  const serve::ServerStats& st = server.stats();
+  EXPECT_EQ(st.submitted, 1);
+  EXPECT_EQ(st.decided, 1);
+  EXPECT_EQ(st.accepted, 1);
+  EXPECT_EQ(st.departed, 1);
+  for (int e = 0; e < substrate_.element_count(); ++e)
+    EXPECT_NEAR(algo.load().residual(e), algo.load().capacity(e), 1e-6)
+        << "element " << e;
 }
 
 TEST_F(LiveServer, PlanHotSwapLandsUnderLoad) {

@@ -1,7 +1,8 @@
 // The scale_xl streaming contracts (workload/stream.hpp, Engine::run_stream):
 // with the same seed, the streamed and materialized trace paths are
 // bit-identical — identical request vectors from the generators, identical
-// SimMetrics from the engine, failures, re-plans and records included — and
+// SimMetrics from the engine, failures, re-plans and records included, and
+// from the simulated server wherever it runs the same mode — and
 // the CAIDA generator is deterministic across identical RNG forks.
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "core/scenario.hpp"
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
+#include "serve/server.hpp"
 #include "topo/topologies.hpp"
 #include "workload/appgen.hpp"
 #include "workload/caida.hpp"
@@ -172,7 +174,9 @@ TEST_F(StreamFixture, RunStreamBitIdenticalToRun) {
 
   // The stateful modes on a drifting, failing Iris scenario: a failure
   // trace with batched repair, drift re-planning at K = 1 and K = 4, and
-  // per-request records — streamed exactly as materialized.
+  // per-request records — streamed exactly as materialized.  The simulated
+  // server (which takes no failure trace) runs the other three modes on the
+  // same stream, equal to both and without reading wall time.
   core::ScenarioConfig scfg;
   scfg.topology = "Iris";
   scfg.seed = 7;
@@ -211,6 +215,16 @@ TEST_F(StreamFixture, RunStreamBitIdenticalToRun) {
     workload::VectorTraceStream stream(sc.online, scfg.trace.horizon);
     const core::SimMetrics streamed = mode_eng.run_stream(algo, stream);
     expect_metrics_identical(ran, streamed);
+    if (mode != kFailures) {
+      serve::Server server(sc.substrate, sc.apps, {mc.sim, mc.replan});
+      core::OliveEmbedder sim_algo(sc.substrate, sc.apps, sc.plan, "OLIVE");
+      workload::VectorTraceStream sim_stream(sc.online, scfg.trace.horizon);
+      const core::SimMetrics simulated =
+          server.run_simulated(sim_algo, sim_stream);
+      expect_metrics_identical(ran, simulated);
+      EXPECT_EQ(simulated.algo_seconds, 0.0);
+      EXPECT_EQ(simulated.replan_seconds, 0.0);
+    }
     switch (mode) {
       case kFailures:
         EXPECT_GT(ran.migrations, 0);

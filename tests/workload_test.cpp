@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "topo/topologies.hpp"
 #include "util/error.hpp"
@@ -35,6 +36,8 @@ TEST(Trace, ValidationCatchesBadFields) {
   EXPECT_THROW(validate_trace(t, 2, 1), InvalidArgument);
   t.back().duration = 1;
   t.back().demand = 0;  // zero demand
+  EXPECT_THROW(validate_trace(t, 2, 1), InvalidArgument);
+  t.back().demand = std::numeric_limits<double>::infinity();
   EXPECT_THROW(validate_trace(t, 2, 1), InvalidArgument);
   t.back().demand = 1;
   t.back().app = 3;  // app out of range
