@@ -464,7 +464,7 @@ struct PerfCase {
   long cache_invalidations = -1;
   long spec_misses = -1;
   /// v7 (open-loop serving cases only; -1 elsewhere): admission-latency
-  /// percentiles from the serve layer's log2 histogram (bucket upper
+  /// percentiles from the serve layer's log-linear histogram (bucket upper
   /// bounds, docs/serving.md), submissions bounced by queue backpressure,
   /// and serving-thread milliseconds blocked inside plan hot-swaps
   /// (installed swaps ride in `replans`).

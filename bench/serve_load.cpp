@@ -114,7 +114,9 @@ int main(int argc, char** argv) {
             << " rejected=" << st.rejected << " preempted=" << st.preempted
             << "\n# slots=" << st.slots << " plan_swaps=" << st.plan_swaps
             << " swap_stall_s=" << bench::json_num(st.swap_stall_seconds)
-            << " queue_high_water=" << st.queue_high_water << "\n";
+            << " queue_high_water=" << st.queue_high_water
+            << " serving_cpu_s=" << bench::json_num(st.serving_cpu_seconds)
+            << "\n";
   std::cout << "req_per_sec,p50_us,p90_us,p99_us,p999_us\n"
             << bench::json_num(st.sustained_rps) << ","
             << bench::json_num(st.p50_us()) << ","

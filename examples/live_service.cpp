@@ -6,7 +6,8 @@
 //     the lock-free admission queue.
 //  3. Submit a burst of requests from this (producer) thread, then drain
 //     and stop gracefully.
-//  4. Read ServerStats: sustained req/s and admission-latency percentiles.
+//  4. Read ServerStats: sustained req/s, admission-latency percentiles and
+//     the serving thread's CPU time.
 //
 // Build & run:  ./build/example_live_service   (finishes in well under 1 s)
 #include <chrono>
@@ -57,6 +58,8 @@ int main() {
             << st.preempted << "\n"
             << "slots " << st.slots << ", sustained "
             << static_cast<long>(st.sustained_rps) << " req/s, latency p50 "
-            << st.p50_us() << " us / p99 " << st.p99_us() << " us\n";
+            << st.p50_us() << " us / p99 " << st.p99_us() << " us\n"
+            << "serving thread CPU " << st.serving_cpu_seconds << " s of "
+            << st.serve_seconds << " s served\n";
   return st.submitted == st.decided ? 0 : 1;
 }

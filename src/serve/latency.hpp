@@ -1,12 +1,15 @@
 // Admission-latency observability for the serving layer (docs/serving.md).
 //
-// LatencyHistogram is a fixed 64-bucket log2 histogram: recording is one
-// bit_width + one array increment, no allocation and no locking on the hot
-// path.  Bucket 0 holds exactly-0 ns samples; bucket b >= 1 holds samples
-// with bit_width(nanos) == b, i.e. the interval [2^(b-1), 2^b - 1]
-// nanoseconds.  percentile_us() reports 2^b, the bucket's exclusive upper
-// bound — a value the true percentile never exceeds, conservative by at
-// most 2x, which is the right bias for a latency SLO gate.
+// LatencyHistogram is a fixed log-linear histogram: each power-of-two range
+// [2^(b-1), 2^b) ns splits into 16 linear sub-buckets, 64 x 16 = 1024
+// counters (8 KiB).  Recording is a bit_width, a shift and one array
+// increment: no allocation and no locking on the hot path.  Bucket
+// 16*b + s holds [2^(b-1) + s*w, 2^(b-1) + (s+1)*w) ns with
+// w = max(1, 2^(b-5)), so every nanosecond below 32 ns has a bucket of its
+// own; bucket 0 holds exactly-0 ns samples.  percentile_us() reports the
+// bucket's exclusive upper bound (0 for bucket 0): never below the true
+// order statistic and at most 6.25% (or 1 ns) above it, the right bias for
+// a latency SLO gate.
 #pragma once
 
 #include <algorithm>
@@ -17,18 +20,16 @@
 
 namespace olive::serve {
 
-/// Fixed-bucket log-scale histogram of nanosecond latencies.
+/// Fixed-bucket log-linear histogram of nanosecond latencies.
 class LatencyHistogram {
  public:
-  static constexpr int kBuckets = 64;
+  static constexpr int kSubBits = 4;  ///< 16 sub-buckets per power of two
+  static constexpr int kBuckets = 64 << kSubBits;
 
-  /// Records one latency sample.  O(1), allocation-free.
+  /// Records one latency sample.  O(1), allocation-free.  Samples of 2^63 ns
+  /// and above share the last bucket.
   void record(std::uint64_t nanos) {
-    const int b =
-        nanos == 0
-            ? 0
-            : std::min(static_cast<int>(std::bit_width(nanos)), kBuckets - 1);
-    ++counts_[static_cast<std::size_t>(b)];
+    ++counts_[static_cast<std::size_t>(bucket_of(nanos))];
     ++total_;
   }
 
@@ -40,24 +41,28 @@ class LatencyHistogram {
         std::ceil(p * static_cast<double>(total_)));
     target = std::clamp<std::uint64_t>(target, 1, total_);
     std::uint64_t cumulative = 0;
-    for (int b = 0; b < kBuckets; ++b) {
-      cumulative += counts_[static_cast<std::size_t>(b)];
-      if (cumulative >= target) return bucket_upper_us(b);
+    for (int i = 0; i < kBuckets; ++i) {
+      cumulative += counts_[static_cast<std::size_t>(i)];
+      if (cumulative >= target) return bucket_upper_us(i);
     }
     return bucket_upper_us(kBuckets - 1);
   }
 
   std::uint64_t count() const { return total_; }
 
-  std::uint64_t bucket_count(int b) const {
-    return counts_[static_cast<std::size_t>(b)];
+  std::uint64_t bucket_count(int i) const {
+    return counts_[static_cast<std::size_t>(i)];
   }
 
-  /// Exclusive upper bound of bucket b ([2^(b-1), 2^b - 1] ns), in
-  /// microseconds (bucket 0 -> 0).
-  static double bucket_upper_us(int b) {
-    if (b <= 0) return 0.0;
-    return static_cast<double>(std::uint64_t{1} << b) / 1000.0;
+  /// Exclusive upper bound of bucket i in microseconds (bucket 0 -> 0).
+  static double bucket_upper_us(int i) {
+    const int b = i >> kSubBits;
+    if (b == 0) return 0.0;
+    const int shift = sub_shift(b);
+    const auto sub = static_cast<std::uint64_t>(i & ((1 << kSubBits) - 1));
+    const std::uint64_t upper =
+        ((std::uint64_t{1} << (b - 1 - shift)) + sub + 1) << shift;
+    return static_cast<double>(upper) / 1000.0;
   }
 
   void reset() {
@@ -66,6 +71,18 @@ class LatencyHistogram {
   }
 
  private:
+  /// Sub-bucket width of power-of-two range b, as a shift (1 ns below 32).
+  static int sub_shift(int b) { return std::max(b - 1 - kSubBits, 0); }
+
+  static int bucket_of(std::uint64_t nanos) {
+    const int b = std::bit_width(nanos);
+    if (b == 0) return 0;
+    if (b == 64) return kBuckets - 1;
+    const int shift = sub_shift(b);
+    const auto sub = (nanos >> shift) - (std::uint64_t{1} << (b - 1 - shift));
+    return (b << kSubBits) + static_cast<int>(sub);
+  }
+
   std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t total_ = 0;
 };
@@ -93,6 +110,9 @@ struct ServerStats {
   double swap_stall_seconds = 0;  ///< serving-thread time inside plan swaps
   double serve_seconds = 0;       ///< total serving-loop time (clock units)
   double sustained_rps = 0;       ///< decided / serve_seconds
+  /// CPU (user + system) the live serving thread used, read when it exits;
+  /// 0 after run_simulated.
+  double serving_cpu_seconds = 0;
 
   LatencyHistogram admission_latency;  ///< submit() -> decision, ns
 

@@ -1,5 +1,8 @@
 #include "serve/server.hpp"
 
+#include <sys/prctl.h>
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <limits>
@@ -10,12 +13,27 @@
 
 namespace olive::serve {
 
+namespace {
+
+/// Idle nap while traffic flows: a slot that drained a request, or follows
+/// one that did, polls the queue this often (at most idle_backoff).
+constexpr std::chrono::nanoseconds kBusyNap = std::chrono::microseconds(5);
+
+/// The serving thread's timer slack.  Linux's default of 50 us would
+/// stretch every short nap by up to that much.
+constexpr unsigned long kTimerSlackNs = 1000;
+
+}  // namespace
+
 Server::Server(const net::SubstrateNetwork& substrate,
                const std::vector<net::Application>& apps, ServerConfig config)
     : substrate_(substrate), apps_(apps), config_(std::move(config)) {
   OLIVE_REQUIRE(config_.slot_duration.count() > 0,
                 "slot_duration must be positive");
   OLIVE_REQUIRE(config_.max_batch > 0, "max_batch must be positive");
+  // A zero nap would never move a simulated clock to the slot deadline.
+  OLIVE_REQUIRE(config_.idle_backoff.count() > 0,
+                "idle_backoff must be positive");
   queue_ = std::make_unique<MpscQueue<Queued>>(config_.queue_capacity);
 }
 
@@ -49,11 +67,13 @@ core::SimMetrics Server::run_simulated(core::OnlineEmbedder& algo,
 }
 
 void Server::start(core::OnlineEmbedder& algo, Clock& clock) {
-  OLIVE_REQUIRE(!running(), "server already running");
+  // Checked under the lock, before any state is touched: a second caller
+  // must not reset the stats or the embedder of a live serving thread.
+  std::lock_guard<std::mutex> lock(lifecycle_mu_);
+  OLIVE_REQUIRE(!thread_.joinable(), "server already running");
   OLIVE_REQUIRE(!config_.sim.record_requests,
                 "live serving keeps no per-request records (they would grow "
                 "without bound over the uptime)");
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
   stats_ = ServerStats{};
   // Built here, on the caller's thread, so an invalid config throws to the
   // caller instead of terminating the process from the serving thread.
@@ -125,6 +145,12 @@ void Server::serve_loop(engine::SlotLoop& loop, Clock& clock) {
   // ring.  Re-plans aggregate the loop's own admission log, the same
   // trailing window an engine run clips.  The loop writes its counters
   // and latency samples into stats_.
+  //
+  // Short naps need a tight timer slack (per thread, no privilege needed).
+  // A failed call only makes wake-ups later, which is no error here.
+  prctl(PR_SET_TIMERSLACK, kTimerSlackNs, 0, 0, 0);
+  const auto busy_nap =
+      std::min<Clock::duration>(config_.idle_backoff, kBusyNap);
   std::vector<workload::Request> batch;
   std::vector<Clock::time_point> enq;
   batch.reserve(config_.max_batch);
@@ -137,6 +163,7 @@ void Server::serve_loop(engine::SlotLoop& loop, Clock& clock) {
   std::int64_t t = 0;
   constexpr std::int64_t kMaxIntSlot = std::numeric_limits<int>::max();
   bool stopping = false;
+  std::int64_t last_drain_slot = -2;  // no drain yet: naps start long
 
   // Pops up to max_batch queued requests into batch/enq, stamping ids and
   // the current slot (Request::arrival is an int and saturates at INT_MAX;
@@ -163,21 +190,27 @@ void Server::serve_loop(engine::SlotLoop& loop, Clock& clock) {
     // behind (overload), deadlines in the past make the slot advance
     // immediately — slots never stretch, they are wall time.  A stop
     // request breaks out at once, whatever the backlog: the final pass
-    // below settles the queue.
+    // below settles the queue.  An empty queue naps: briefly while traffic
+    // flows (this slot or the last one drained a request), idle_backoff
+    // once a whole slot passed empty, so an idle server stays cheap.
     const auto deadline = t0 + (t + 1) * config_.slot_duration;
     for (;;) {
       if (stop_requested_.load(std::memory_order_seq_cst)) {
         stopping = true;
         break;
       }
-      if (clock.now() >= deadline) break;
+      const auto now = clock.now();
+      if (now >= deadline) break;
       stats_.queue_high_water =
           std::max(stats_.queue_high_water, queue_->approx_size());
       fill_batch();
       if (batch.empty()) {
-        clock.sleep_until(std::min(deadline, clock.now() + config_.idle_backoff));
+        const auto nap =
+            t - last_drain_slot <= 1 ? busy_nap : config_.idle_backoff;
+        clock.sleep_until(std::min(deadline, now + nap));
         continue;
       }
+      last_drain_slot = t;
       loop.admit(batch.data(), batch.size(), enq.data());
     }
 
@@ -216,6 +249,11 @@ void Server::serve_loop(engine::SlotLoop& loop, Clock& clock) {
           ? static_cast<double>(stats_.decided) / stats_.serve_seconds
           : 0.0;
   metrics_ = loop.finish();
+  rusage ru{};
+  if (getrusage(RUSAGE_THREAD, &ru) == 0)
+    stats_.serving_cpu_seconds =
+        static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+        1e-6 * static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
 }
 
 }  // namespace olive::serve

@@ -13,7 +13,7 @@
 //    serving thread drains them in batches, decides each admission via the
 //    OLIVE fast path, expires leases at slot boundaries (wall deadlines),
 //    hot-swaps re-planned allocations between batch drains, and records
-//    per-request admission latency into a log-scale histogram.
+//    per-request admission latency into a log-linear histogram.
 //
 // Two-mode determinism contract: the SimulatedClock path reads no wall
 // time at all, re-plan solves included (bit-identical runs, zero wall
@@ -67,7 +67,10 @@ struct ServerConfig {
   /// Max requests drained per batch between deadline checks; also the
   /// hint_arrivals speculation batch handed to the embedder.
   std::size_t max_batch = 1024;
-  /// Nap length while the queue is empty (bounded so stop() is prompt).
+  /// Nap length while the queue is empty and neither this slot nor the
+  /// previous one drained a request; while traffic flows the serving thread
+  /// naps min(idle_backoff, 5 us) instead, at a 1 us timer slack
+  /// (docs/serving.md).  Must be positive; bounded so stop() is prompt.
   std::chrono::nanoseconds idle_backoff = std::chrono::microseconds(50);
   /// Live mode keeps only this many trailing slots of the offered/allocated
   /// series (0 disables series collection entirely) — a long-lived service
@@ -110,7 +113,9 @@ class Server {
   /// [t0 + t·slot_duration, t0 + (t+1)·slot_duration); arrivals are
   /// stamped with the slot they are drained in, and leases expire at the
   /// slot boundary `arrival + duration` — wall deadlines.  Refuses
-  /// sim.record_requests: records would grow without bound.
+  /// sim.record_requests: records would grow without bound.  Safe to race
+  /// with other start() calls: one starts the serving thread, the others
+  /// throw InvalidArgument, as does a start() while running.
   void start(core::OnlineEmbedder& algo, Clock& clock);
 
   /// Hands one request to the serving thread (id and arrival slot are

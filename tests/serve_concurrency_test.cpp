@@ -2,13 +2,21 @@
 // CI job runs it): MPSC queue fuzz — multi-producer interleavings,
 // full-queue backpressure, drain-on-shutdown — and the live serve::Server
 // under real producer threads: every submission is decided or explicitly
-// bounced, graceful drain empties the queue, and plan hot-swaps land
-// mid-run without corrupting the counters.
+// bounced, graceful drain empties the queue, racing start() calls start one
+// serving thread, plan hot-swaps land mid-run without corrupting the
+// counters, and the idle naps are short only while traffic flows.
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <latch>
 #include <limits>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -302,6 +310,187 @@ TEST_F(LiveServer, ConcurrentStopCallsAreSafeAndIdempotent) {
   server.stop();  // and a third, sequential call is still a no-op
   const serve::ServerStats& st = server.stats();
   EXPECT_EQ(st.decided, st.submitted);
+}
+
+/// Forwards to another embedder, but reset() — which start() calls while it
+/// builds the slot loop — takes 20 ms, so racing start() calls overlap.
+class SlowResetEmbedder final : public core::OnlineEmbedder {
+ public:
+  explicit SlowResetEmbedder(core::OnlineEmbedder& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  void reset() override {
+    std::this_thread::sleep_for(20ms);
+    inner_.reset();
+  }
+  core::EmbedOutcome embed(const workload::Request& r) override {
+    return inner_.embed(r);
+  }
+  void depart(const workload::Request& r) override { inner_.depart(r); }
+  const core::LoadTracker& load() const override { return inner_.load(); }
+
+ private:
+  core::OnlineEmbedder& inner_;
+};
+
+TEST_F(LiveServer, ConcurrentStartCallsStartOneServingThread) {
+  // A start() that checked running() before taking its lock let a second
+  // caller reset the stats and the embedder of a live serving thread, then
+  // move-assign a joinable std::thread, which terminates the process.
+  serve::ServerConfig scfg;
+  scfg.sim.measure_from = 0;
+  scfg.sim.measure_to = 1 << 30;
+  scfg.slot_duration = 1ms;
+  serve::Server server(substrate_, apps_, scfg);
+  core::OliveEmbedder olive(substrate_, apps_, core::Plan::empty(), "QuickG");
+  SlowResetEmbedder algo(olive);
+  serve::SteadyClock clock;
+
+  constexpr int kCallers = 4;
+  std::latch go(kCallers);
+  std::atomic<int> started{0}, refused{0};
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&] {
+      go.arrive_and_wait();
+      try {
+        server.start(algo, clock);
+        started.fetch_add(1);
+      } catch (const InvalidArgument&) {
+        refused.fetch_add(1);
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(started.load(), 1);
+  EXPECT_EQ(refused.load(), kCallers - 1);
+  ASSERT_TRUE(server.running());
+
+  long enqueued = 0;
+  for (int i = 0; i < 2000; ++i)
+    if (server.submit(bodies_[i % bodies_.size()]) ==
+        serve::Server::Submit::Enqueued)
+      ++enqueued;
+  server.stop(/*drain=*/true);
+
+  const serve::ServerStats& st = server.stats();
+  EXPECT_EQ(st.submitted, enqueued);
+  EXPECT_EQ(st.decided + st.abandoned, st.submitted);
+  EXPECT_EQ(st.decided, st.submitted);
+  EXPECT_EQ(st.decided, st.accepted + st.rejected);
+  EXPECT_EQ(st.admission_latency.count(),
+            static_cast<std::uint64_t>(st.decided));
+}
+
+/// SimulatedClock semantics plus two test hooks: every nap is recorded with
+/// its slot and the napping thread's timer slack, and a nap that would
+/// carry time past the hold blocks until the test moves the hold on — so
+/// the test fixes the slot in which the serving thread drains a request.
+class NapRecordingClock final : public serve::Clock {
+ public:
+  struct Nap {
+    std::int64_t slot;
+    duration length;       ///< deadline - now
+    duration to_slot_end;  ///< slot end - now
+    int timer_slack_ns;    ///< PR_GET_TIMERSLACK of the napping thread
+  };
+
+  explicit NapRecordingClock(duration slot) : slot_(slot) {}
+
+  time_point now() override { return time_point{duration{now_.load()}}; }
+
+  void sleep_until(time_point deadline) override {
+    const duration now{now_.load()};
+    const std::int64_t slot = now / slot_;
+    naps.push_back({slot, deadline.time_since_epoch() - now,
+                    (slot + 1) * slot_ - now,
+                    prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0)});
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (deadline > hold_) {
+        ++parks_;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return deadline <= hold_; });
+      }
+    }
+    now_.store(std::max(now_.load(), deadline.time_since_epoch().count()));
+  }
+
+  bool simulated() const noexcept override { return true; }
+
+  /// Naps may carry time up to `t` and no further.
+  void hold_at(time_point t) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      hold_ = t;
+    }
+    cv_.notify_all();
+  }
+
+  /// Blocks until the serving thread has been held `n` times in all.
+  void wait_held(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parks_ >= n; });
+  }
+
+  std::vector<Nap> naps;  ///< written by the serving thread; read after stop
+
+ private:
+  const duration slot_;
+  std::atomic<duration::rep> now_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  time_point hold_ = time_point::max();
+  int parks_ = 0;
+};
+
+TEST_F(LiveServer, NapsShortOnlyWhileTrafficFlows) {
+  serve::ServerConfig scfg;
+  scfg.sim.measure_from = 0;
+  scfg.sim.measure_to = 1 << 30;
+  scfg.slot_duration = 1ms;
+  serve::Server server(substrate_, apps_, scfg);
+  core::OliveEmbedder algo(substrate_, apps_, core::Plan::empty(), "QuickG");
+  NapRecordingClock clock(scfg.slot_duration);
+  const auto slot_start = [&](int s) {
+    return serve::Clock::time_point{} + s * scfg.slot_duration;
+  };
+
+  // Idle through slots 0-2; the first nap of slot 3 is held while the
+  // request goes in, so the serving thread drains it in slot 3.
+  clock.hold_at(slot_start(3));
+  server.start(algo, clock);
+  clock.wait_held(1);
+  workload::Request r = bodies_.front();
+  r.duration = 1;
+  ASSERT_EQ(server.submit(r), serve::Server::Submit::Enqueued);
+  clock.hold_at(slot_start(8));
+  clock.wait_held(2);
+  clock.hold_at(serve::Clock::time_point::max());
+  server.stop(/*drain=*/true);
+  ASSERT_EQ(server.stats().decided, 1);
+
+  constexpr auto kBusyNap = 5us;
+  const auto idle = scfg.idle_backoff;
+  std::int64_t drain_slot = -1;  // slot of the first 5 us nap
+  std::vector<int> busy_naps(10, 0), idle_naps(10, 0);
+  for (const auto& nap : clock.naps) {
+    EXPECT_EQ(nap.timer_slack_ns, 1000) << "slot " << nap.slot;
+    if (drain_slot < 0 && nap.length == kBusyNap) drain_slot = nap.slot;
+    const bool busy = drain_slot >= 0 && nap.slot <= drain_slot + 1;
+    EXPECT_EQ(nap.length,
+              std::min<serve::Clock::duration>(busy ? kBusyNap : idle,
+                                               nap.to_slot_end))
+        << "slot " << nap.slot;
+    if (nap.slot < 10) ++(busy ? busy_naps : idle_naps)[nap.slot];
+  }
+  ASSERT_EQ(drain_slot, 3);
+  // Slot 3: the held 50 us nap, then 5 us naps for the remaining 950 us;
+  // slot 4 follows a draining slot and naps 5 us throughout; from slot 5
+  // on the server is idle again.
+  EXPECT_EQ(idle_naps[3], 1);
+  EXPECT_EQ(busy_naps[3], 190);
+  EXPECT_EQ(busy_naps[4], 200);
+  for (int s = 5; s < 8; ++s) EXPECT_EQ(idle_naps[s], 20) << "slot " << s;
 }
 
 TEST_F(LiveServer, StartRefusesPerRequestRecords) {

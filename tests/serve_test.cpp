@@ -1,6 +1,8 @@
 // The serving layer's deterministic contracts (docs/serving.md):
 //  * SimulatedClock starts at the epoch and consumes zero wall entropy;
-//  * the log2 latency histogram's buckets and conservative percentiles;
+//  * the log-linear latency histogram's buckets and conservative
+//    percentiles;
+//  * the Server constructor's refusal of non-positive settings;
 //  * the equivalence lockdown — serve::Server under SimulatedClock is
 //    bit-identical to Engine::run_stream on the same Mmpp/Caida configs
 //    (the two-mode determinism contract's simulated half);
@@ -8,7 +10,10 @@
 //    requested rate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/olive.hpp"
@@ -65,41 +70,80 @@ TEST(SteadyClock, IsMonotoneAndNotSimulated) {
 // ------------------------------------------------------------- Histogram
 
 TEST(LatencyHistogram, BucketsByBitWidth) {
+  // Bucket 16 * bit_width + sub-bucket: one nanosecond wide below 32 ns,
+  // a sixteenth of the power-of-two range above.
   serve::LatencyHistogram h;
   h.record(0);     // bucket 0
-  h.record(1);     // bit_width(1)=1 -> bucket 1, upper 2ns
-  h.record(2);     // bit_width(2)=2 -> bucket 2, upper 4ns
-  h.record(1000);  // bit_width(1000)=10 -> bucket 10, upper 1024ns
-  EXPECT_EQ(h.count(), 4u);
+  h.record(1);     // bit_width 1 -> bucket 16, upper 2ns
+  h.record(2);     // bit_width 2 -> bucket 32, upper 3ns
+  h.record(17);    // bit_width 5, 1 past 16 -> bucket 81, upper 18ns
+  h.record(600);   // bit_width 10, (600 >> 5) - 16 = 2 -> bucket 162
+  h.record(1000);  // bit_width 10, (1000 >> 5) - 16 = 15 -> bucket 175
+  EXPECT_EQ(h.count(), 6u);
   EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(1), 1u);
-  EXPECT_EQ(h.bucket_count(2), 1u);
-  EXPECT_EQ(h.bucket_count(10), 1u);
-  EXPECT_DOUBLE_EQ(serve::LatencyHistogram::bucket_upper_us(10), 1.024);
+  EXPECT_EQ(h.bucket_count(16), 1u);
+  EXPECT_EQ(h.bucket_count(32), 1u);
+  EXPECT_EQ(h.bucket_count(81), 1u);
+  EXPECT_EQ(h.bucket_count(162), 1u);
+  EXPECT_EQ(h.bucket_count(175), 1u);
+  EXPECT_DOUBLE_EQ(serve::LatencyHistogram::bucket_upper_us(0), 0.0);
+  EXPECT_DOUBLE_EQ(serve::LatencyHistogram::bucket_upper_us(16), 0.002);
+  EXPECT_DOUBLE_EQ(serve::LatencyHistogram::bucket_upper_us(32), 0.003);
+  EXPECT_DOUBLE_EQ(serve::LatencyHistogram::bucket_upper_us(81), 0.018);
+  EXPECT_DOUBLE_EQ(serve::LatencyHistogram::bucket_upper_us(162), 0.608);
+  EXPECT_DOUBLE_EQ(serve::LatencyHistogram::bucket_upper_us(175), 1.024);
 }
 
 TEST(LatencyHistogram, PercentilesAreBucketUpperBounds) {
   serve::LatencyHistogram h;
-  // 99 samples in bucket 1 (1-2ns), one in bucket 20 (~1ms).
+  // 99 samples of 2ns (bucket 32), one of 2^19 ns (~0.5ms, bucket 320).
   for (int i = 0; i < 99; ++i) h.record(2);
-  h.record(1u << 19);  // bit_width = 20
+  h.record(1u << 19);  // bit_width 20, first sub-bucket
+  EXPECT_DOUBLE_EQ(serve::LatencyHistogram::bucket_upper_us(320), 557.056);
   EXPECT_DOUBLE_EQ(h.percentile_us(0.50),
-                   serve::LatencyHistogram::bucket_upper_us(2));
+                   serve::LatencyHistogram::bucket_upper_us(32));
   EXPECT_DOUBLE_EQ(h.percentile_us(0.99),
-                   serve::LatencyHistogram::bucket_upper_us(2));
+                   serve::LatencyHistogram::bucket_upper_us(32));
   EXPECT_DOUBLE_EQ(h.percentile_us(0.999),
-                   serve::LatencyHistogram::bucket_upper_us(20));
+                   serve::LatencyHistogram::bucket_upper_us(320));
   EXPECT_DOUBLE_EQ(h.percentile_us(1.0),
-                   serve::LatencyHistogram::bucket_upper_us(20));
+                   serve::LatencyHistogram::bucket_upper_us(320));
 }
 
 TEST(LatencyHistogram, EmptyAndOverflowAreSafe) {
   serve::LatencyHistogram h;
+  EXPECT_EQ(serve::LatencyHistogram::kBuckets, 1024);
   EXPECT_DOUBLE_EQ(h.percentile_us(0.99), 0.0);
   h.record(~std::uint64_t{0});  // clamps into the last bucket
   EXPECT_EQ(h.bucket_count(serve::LatencyHistogram::kBuckets - 1), 1u);
+  EXPECT_DOUBLE_EQ(h.percentile_us(1.0), 0x1p63 / 1000.0);
   h.reset();
   EXPECT_EQ(h.count(), 0u);
+}
+
+TEST(LatencyHistogram, LogUniformPercentilesWithinASixteenth) {
+  // Samples log-uniform from 1 ns to 10 s: each reported percentile is at
+  // least the true order statistic and at most 1/16 above it (1 ns in the
+  // one-nanosecond buckets).
+  Rng rng(2026);
+  for (int rep = 0; rep < 20; ++rep) {
+    serve::LatencyHistogram h;
+    std::vector<std::uint64_t> samples(5000);
+    for (auto& x : samples) {
+      x = static_cast<std::uint64_t>(
+          std::exp(rng.uniform(0.0, std::log(1e10))));
+      h.record(x);
+    }
+    std::sort(samples.begin(), samples.end());
+    for (const double p : {0.5, 0.9, 0.99, 0.999}) {
+      const auto rank = static_cast<std::size_t>(
+          std::ceil(p * static_cast<double>(samples.size())));
+      const auto truth = static_cast<double>(samples[rank - 1]);
+      const double reported = h.percentile_us(p) * 1000.0;
+      EXPECT_LE(truth, reported) << "rep " << rep << " p=" << p;
+      EXPECT_LE(reported, 1.0625 * truth + 1.0) << "rep " << rep << " p=" << p;
+    }
+  }
 }
 
 // PR-10 audit pin: with total_ == 0 every percentile is defined as 0 — no
@@ -114,6 +158,26 @@ TEST(LatencyHistogram, EmptyHistogramReportsZeroAtEveryPercentile) {
   h.reset();
   for (const double q : {0.0, 0.5, 1.0})
     EXPECT_DOUBLE_EQ(h.percentile_us(q), 0.0) << "after reset, q=" << q;
+}
+
+// ---------------------------------------------------------- ServerConfig
+
+TEST(ServerConfig, ConstructorRejectsNonPositiveSettings) {
+  Rng topo_rng(42), app_rng(7);
+  const net::SubstrateNetwork substrate = topo::citta_studi(topo_rng);
+  const std::vector<net::Application> apps = workload::sample_application_set(
+      workload::default_mix(), {}, app_rng);
+  const auto refused = [&](void (*edit)(serve::ServerConfig&)) {
+    serve::ServerConfig c;
+    edit(c);
+    EXPECT_THROW({ serve::Server s(substrate, apps, c); }, InvalidArgument);
+  };
+  refused([](serve::ServerConfig& c) { c.slot_duration = 0ns; });
+  refused([](serve::ServerConfig& c) { c.max_batch = 0; });
+  // A nap of 0 would never carry a simulated live server to its deadline.
+  refused([](serve::ServerConfig& c) { c.idle_backoff = 0us; });
+  refused([](serve::ServerConfig& c) { c.idle_backoff = -1us; });
+  EXPECT_NO_THROW({ serve::Server s(substrate, apps); });
 }
 
 // -------------------------------------------------- Equivalence lockdown
