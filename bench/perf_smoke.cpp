@@ -427,9 +427,9 @@ int main(int argc, char** argv) {
       st.rss_mb = peak_rss_mb();
       st.objective = m.total_cost();
       st.rejection_rate = m.rejection_rate();
-      st.cache_hits = m.fastpath_greedy_hits;
-      st.cache_invalidations = m.fastpath_greedy_invalidations;
-      st.spec_misses = m.fastpath_spec_misses;
+      st.cache_hits = m.fastpath.greedy_memo_hits;
+      st.cache_invalidations = m.fastpath.greedy_memo_invalidations;
+      st.spec_misses = m.fastpath.spec_misses;
       cases.push_back(st);
       print_case(st);
       std::cout << "# scale_xl streamed: " << st.requests << " requests, "

@@ -1,12 +1,15 @@
-// Live service: run OLIVE as a wall-clock admission server (~60 lines).
+// Live service: run OLIVE as a wall-clock admission server (~75 lines).
 //
 //  1. Build a scenario (substrate, apps, offline PLAN-VNE plan).
-//  2. Start serve::Server on a SteadyClock: slot boundaries become real
+//  2. Simulate the online trace with the server's own config: the same
+//     slot loop under a simulated clock, deterministic, ending with the
+//     trace's last departure.
+//  3. Start serve::Server on a SteadyClock: slot boundaries become real
 //     deadlines, leases expire by wall time, and submissions flow through
 //     the lock-free admission queue.
-//  3. Submit a burst of requests from this (producer) thread, then drain
+//  4. Submit a burst of requests from this (producer) thread, then drain
 //     and stop gracefully.
-//  4. Read ServerStats: sustained req/s, admission-latency percentiles and
+//  5. Read ServerStats: sustained req/s, admission-latency percentiles and
 //     the serving thread's CPU time.
 //
 // Build & run:  ./build/example_live_service   (finishes in well under 1 s)
@@ -16,6 +19,7 @@
 #include "core/olive.hpp"
 #include "core/scenario.hpp"
 #include "serve/server.hpp"
+#include "workload/stream.hpp"
 
 int main() {
   using namespace olive;
@@ -30,17 +34,25 @@ int main() {
             << sc.plan.num_classes() << " classes, " << sc.online.size()
             << " online request bodies\n";
 
-  // 2. A server with 2 ms slots: measure everything, no re-planning.
+  // 2. A server with 2 ms slots: measure everything, no re-planning.  The
+  // same config first simulates the online trace.
   serve::ServerConfig scfg;
   scfg.sim.measure_from = 0;
   scfg.sim.measure_to = 1 << 30;
   scfg.slot_duration = std::chrono::milliseconds(2);
   serve::Server server(sc.substrate, sc.apps, scfg);
   core::OliveEmbedder olive(sc.substrate, sc.apps, sc.plan);
+  workload::VectorTraceStream trace(sc.online);
+  const core::SimMetrics simulated = server.run_simulated(olive, trace);
+  std::cout << "simulated: decided " << server.stats().decided << " in "
+            << server.stats().slots << " slots, rejection rate "
+            << simulated.rejection_rate() << "\n";
+
+  // 3. Go live with the same server and embedder (start() resets it).
   serve::SteadyClock clock;
   server.start(olive, clock);
 
-  // 3. Submit a burst (ids/arrival slots are assigned at drain time).  A
+  // 4. Submit a burst (ids/arrival slots are assigned at drain time).  A
   // full queue answers QueueFull instead of blocking — backpressure is the
   // producer's signal to shed or retry.
   long bounced = 0;
@@ -50,7 +62,7 @@ int main() {
       ++bounced;
   server.stop(/*drain=*/true);  // decide everything enqueued, then join
 
-  // 4. Stats: every submission was decided or explicitly bounced.
+  // 5. Stats: every submission was decided or explicitly bounced.
   const serve::ServerStats& st = server.stats();
   std::cout << "submitted " << st.submitted << " (+" << bounced
             << " bounced), decided " << st.decided << ": accepted "

@@ -127,17 +127,11 @@ struct SimMetrics {
   long repairs_reembedded = 0;
   long repairs_batched = 0;
 
-  /// Admission fast-path counters (FastPathStats folded in at run end).
-  /// Diagnostics only: like algo_seconds, these are *outside* the
-  /// bit-identity contract — the spec_* counters depend on the thread count
-  /// and the memo counters on whether speculation bypassed the serial path.
-  long fastpath_greedy_hits = 0;
-  long fastpath_greedy_misses = 0;
-  long fastpath_greedy_invalidations = 0;
-  long fastpath_column_skips = 0;
-  long fastpath_spec_commits = 0;
-  long fastpath_spec_misses = 0;
-  long fastpath_spec_serial = 0;
+  /// The embedder's admission fast-path counters at run end.  Diagnostics
+  /// only: like algo_seconds, these are *outside* the bit-identity contract
+  /// — the spec_* counters depend on the thread count and the memo counters
+  /// on whether speculation bypassed the serial path.
+  FastPathStats fastpath;
 
   std::vector<RequestRecord> records;  // only if record_requests
 };

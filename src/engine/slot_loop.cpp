@@ -18,18 +18,6 @@ double usage_on(const core::Usage& usage, int element) {
   return 0.0;
 }
 
-void fold_fastpath(core::SimMetrics& metrics,
-                   const core::OnlineEmbedder& algo) {
-  const core::FastPathStats fp = algo.fastpath_stats();
-  metrics.fastpath_greedy_hits = fp.greedy_memo_hits;
-  metrics.fastpath_greedy_misses = fp.greedy_memo_misses;
-  metrics.fastpath_greedy_invalidations = fp.greedy_memo_invalidations;
-  metrics.fastpath_column_skips = fp.column_skips;
-  metrics.fastpath_spec_commits = fp.spec_commits;
-  metrics.fastpath_spec_misses = fp.spec_misses;
-  metrics.fastpath_spec_serial = fp.spec_serial;
-}
-
 }  // namespace
 
 std::vector<double> resolve_psi(const net::SubstrateNetwork& substrate,
@@ -160,10 +148,9 @@ core::SimMetrics SlotLoop::run(workload::TraceStream& stream) {
   // The stream's declared end stands in for the last arrival; a
   // VectorTraceStream's default end is exactly the last arrival + 1.
   horizon_ = run_horizon(stream.end_slot() - base_, config_.sim);
-  calendar_.resize(static_cast<std::size_t>(horizon_) + 1);
   series_window_ = static_cast<std::size_t>(horizon_);
 
-  for (std::int64_t t = 0; t < horizon_; ++t) {
+  for (std::int64_t t = 0; t < horizon_ && (cur >= 0 || !settled(t)); ++t) {
     begin_slot(t);
     if (cur >= 0 && cur - base_ == t) {
       admit(slot_buf.data(), slot_buf.size());
@@ -174,11 +161,12 @@ core::SimMetrics SlotLoop::run(workload::TraceStream& stream) {
   return finish();
 }
 
-SlotLoop::SlotDelta& SlotLoop::delta(std::int64_t slot) {
-  // A bounded run clamps to its horizon: entry horizon_ collects the ends
-  // past the run, which never come due.
-  if (!bounded()) return live_calendar_[slot];
-  return calendar_[static_cast<std::size_t>(std::min(slot, horizon_))];
+bool SlotLoop::settled(std::int64_t t) const {
+  // Windows only move forward: once a launch at t clips nothing, so does
+  // every later one.
+  return t > last_departure_ && capacity_.done() &&
+         replan_.pending_install_slot() < 0 &&
+         (!replan_.enabled() || replan_.window_start(t) >= last_departure_);
 }
 
 double SlotLoop::seconds_since(serve::Clock::time_point start) const {
@@ -218,15 +206,13 @@ void SlotLoop::begin_slot(std::int64_t t) {
   while (std::optional<FailureRecord> record = capacity_.next(t))
     apply_failure(*record);
 
-  // Launch only while the install slot still falls inside a bounded run.
-  if (replan_.wants_launch(t) &&
-      (!bounded() || t + config_.replan.install_delay < horizon_))
+  // Launch only while the install slot still falls inside the run.
+  if (replan_.wants_launch(t) && t + config_.replan.install_delay < horizon_)
     launch_replan();
 
   // Departures (a lease no longer active was preempted or dropped).
   const auto start = clock_.now();
-  SlotDelta& now = delta(t);
-  for (const workload::RequestId id : now.departing) {
+  for (const workload::RequestId id : calendar_[t].departing) {
     const auto it = active_.find(id);
     if (it == active_.end()) continue;
     algo_.depart(it->second.req);
@@ -374,8 +360,8 @@ void SlotLoop::apply_failure(FailureRecord& record) {
 void SlotLoop::cut(Leases::iterator it) {
   const Lease& lease = it->second;
   const double d = lease.req.demand;
-  delta(t_).allocated -= d;  // stops consuming now...
-  delta(lease.slot + lease.req.duration).allocated += d;  // ...not later
+  calendar_[t_].allocated -= d;  // stops consuming now...
+  calendar_[lease.slot + lease.req.duration].allocated += d;  // ...not later
   tally_.lost(lease.req, lease.slot, /*preempted=*/true);
   if (config_.sim.record_requests)
     metrics_.records[lease.record].preempted_at = static_cast<int>(t_);
@@ -390,10 +376,11 @@ void SlotLoop::admit(const workload::Request* batch, std::size_t n,
   metrics_.algo_seconds += seconds_since(hint_start);
 
   const std::int64_t t = t_;
-  SlotDelta& now = delta(t);
+  SlotDelta& now = calendar_[t];
   for (std::size_t i = 0; i < n; ++i) {
     const workload::Request& r = batch[i];
-    SlotDelta& end = delta(t + r.duration);
+    SlotDelta& end = calendar_[t + r.duration];  // `now` stays valid
+    last_departure_ = std::max(last_departure_, t + r.duration);
     now.offered += r.demand;
     end.offered -= r.demand;
     tally_.offered(r, t);
@@ -456,13 +443,10 @@ void SlotLoop::end_slot() {
   if (stats_) ++stats_->slots;
   // Every change to slot t's deltas happens by the end of slot t, so this
   // running sum is the prefix sum of the per-slot deltas.
-  SlotDelta& now = delta(t_);
+  const SlotDelta& now = calendar_[t_];
   offered_now_ += now.offered;
   allocated_now_ += now.allocated;
-  if (bounded())
-    now = {};
-  else
-    live_calendar_.erase(t_);
+  calendar_.erase(t_);
   if (series_window_ == 0) return;
   offered_ring_.push_back(offered_now_);
   allocated_ring_.push_back(allocated_now_);
@@ -477,7 +461,7 @@ core::SimMetrics SlotLoop::finish() {
   metrics_.offered_series.assign(offered_ring_.begin(), offered_ring_.end());
   metrics_.allocated_series.assign(allocated_ring_.begin(),
                                    allocated_ring_.end());
-  fold_fastpath(metrics_, algo_);
+  metrics_.fastpath = algo_.fastpath_stats();
   return std::move(metrics_);
 }
 

@@ -10,11 +10,10 @@
 // The loop owns all of a run's state: the active leases, the departure
 // calendar, the window tally and ψ, failure repair, per-request records,
 // observers, the ReplanPolicy and the trailing admission log it feeds on.
-// Its accounting is bounded when the horizon is known (run(stream): one
-// calendar entry per slot, the exact offered/allocated series) and live
-// otherwise (begin_slot/admit/end_slot against an open-ended 64-bit slot
-// counter: calendar entries keyed by slot and freed as the slot passes, a
-// trailing series ring) — memory follows the active leases, never uptime.
+// Both drives share one calendar keyed by a 64-bit slot, each entry freed
+// as its slot passes: memory follows the pending departures, never the
+// horizon or the uptime.  run(stream) ends once its work does (the end
+// rule, docs/engine.md); a live drive ends when its caller stops.
 //
 // The loop reads time only through the injected Clock, and so do the
 // ReplanPolicy's solves, so a run under a SimulatedClock reads no wall time
@@ -24,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -54,7 +54,7 @@ void accumulate_solve(core::SimMetrics& metrics,
 
 /// Slot horizon of a bounded run whose arrivals span `span` slots from the
 /// first one: cover them and the measurement window, then stop
-/// `drain_slots` past measure_to.
+/// `drain_slots` past measure_to.  SlotLoop::run may end sooner.
 int run_horizon(int span, const core::SimulatorConfig& sim);
 
 /// The measurement-window tallies (Eqs. 3–4): counts, demands and
@@ -85,6 +85,7 @@ class CapacityView {
                const workload::FailureTrace& trace);
 
   bool dynamic() const noexcept { return !trace_.empty(); }
+  bool done() const noexcept { return next_ >= trace_.size(); }
 
   /// Applies the next event of slot t, if any, and returns its record with
   /// the capacity transition filled in (impact counts stay 0).
@@ -122,8 +123,9 @@ class SlotLoop {
   SlotLoop& operator=(const SlotLoop&) = delete;
 
   /// Drives `stream` to completion: the first non-empty slot re-bases the
-  /// run to slot 0 and run_horizon() of the stream's declared end bounds
-  /// it.
+  /// run to slot 0 and run_horizon() of the stream's declared end caps it.
+  /// It ends sooner, before the first slot t with the stream spent and
+  /// settled(t): from there on, slots would only append flat series points.
   core::SimMetrics run(workload::TraceStream& stream);
 
   // Live drive, one call sequence per slot t = 0, 1, 2, ...:
@@ -171,8 +173,9 @@ class SlotLoop {
     std::vector<workload::RequestId> departing;
   };
 
-  bool bounded() const noexcept { return horizon_ >= 0; }
-  SlotDelta& delta(std::int64_t slot);
+  /// t is past every departure, no failure event is left, no re-plan is
+  /// in flight, and no launch window from t on can hold demand.
+  bool settled(std::int64_t t) const;
   double seconds_since(serve::Clock::time_point start) const;
   void launch_replan();
   void apply_failure(FailureRecord& record);
@@ -195,10 +198,10 @@ class SlotLoop {
   core::Migrator migrator_;
 
   std::int64_t t_ = 0;
-  int base_ = 0;               ///< trace slot of loop slot 0
-  std::int64_t horizon_ = -1;  ///< slots of a bounded run; -1 while live
-  std::vector<SlotDelta> calendar_;                        // bounded
-  std::unordered_map<std::int64_t, SlotDelta> live_calendar_;  // live
+  int base_ = 0;  ///< trace slot of loop slot 0
+  std::int64_t horizon_ = std::numeric_limits<std::int64_t>::max();
+  std::int64_t last_departure_ = -1;  ///< of every admitted request
+  std::unordered_map<std::int64_t, SlotDelta> calendar_;
   double offered_now_ = 0, allocated_now_ = 0;
   std::deque<double> offered_ring_, allocated_ring_;
 

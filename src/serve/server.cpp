@@ -15,9 +15,18 @@ namespace olive::serve {
 
 namespace {
 
-/// Idle nap while traffic flows: a slot that drained a request, or follows
-/// one that did, polls the queue this often (at most idle_backoff).
+/// Max requests drained per batch (and hinted to the embedder) between
+/// deadline checks.
+constexpr std::size_t kMaxBatch = 1024;
+
+/// Nap once a whole slot passed with an empty queue: short, so stop() is
+/// prompt, and positive, so a simulated clock reaches the slot deadline.
+constexpr std::chrono::nanoseconds kIdleNap = std::chrono::microseconds(50);
+/// Nap while traffic flows: in a slot that drained a request, or the next.
 constexpr std::chrono::nanoseconds kBusyNap = std::chrono::microseconds(5);
+
+/// Trailing series slots a live run keeps: uptime must not grow state.
+constexpr std::size_t kSeriesWindowSlots = 4096;
 
 /// The serving thread's timer slack.  Linux's default of 50 us would
 /// stretch every short nap by up to that much.
@@ -30,10 +39,6 @@ Server::Server(const net::SubstrateNetwork& substrate,
     : substrate_(substrate), apps_(apps), config_(std::move(config)) {
   OLIVE_REQUIRE(config_.slot_duration.count() > 0,
                 "slot_duration must be positive");
-  OLIVE_REQUIRE(config_.max_batch > 0, "max_batch must be positive");
-  // A zero nap would never move a simulated clock to the slot deadline.
-  OLIVE_REQUIRE(config_.idle_backoff.count() > 0,
-                "idle_backoff must be positive");
   queue_ = std::make_unique<MpscQueue<Queued>>(config_.queue_capacity);
 }
 
@@ -43,7 +48,18 @@ Server::~Server() {
 
 core::SimMetrics Server::run_simulated(core::OnlineEmbedder& algo,
                                        workload::TraceStream& stream) {
-  OLIVE_REQUIRE(!running(), "run_simulated while live serving is running");
+  {
+    std::lock_guard<std::mutex> lock(lifecycle_mu_);
+    OLIVE_REQUIRE(mode_ == Mode::Idle, "run_simulated on a busy server");
+    mode_ = Mode::Simulating;
+  }
+  struct Idle {  // on every exit, exceptions included
+    Server& s;
+    ~Idle() {
+      std::lock_guard<std::mutex> lock(s.lifecycle_mu_);
+      s.mode_ = Mode::Idle;
+    }
+  } idle{*this};
 
   // Zero wall entropy on this whole path: the only clock is simulated and
   // starts at the epoch, and the re-plan solves read it too.  No work moves
@@ -68,9 +84,9 @@ core::SimMetrics Server::run_simulated(core::OnlineEmbedder& algo,
 
 void Server::start(core::OnlineEmbedder& algo, Clock& clock) {
   // Checked under the lock, before any state is touched: a second caller
-  // must not reset the stats or the embedder of a live serving thread.
+  // must not reset the stats or the embedder of a running drive.
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  OLIVE_REQUIRE(!thread_.joinable(), "server already running");
+  OLIVE_REQUIRE(mode_ == Mode::Idle, "start() on a busy server");
   OLIVE_REQUIRE(!config_.sim.record_requests,
                 "live serving keeps no per-request records (they would grow "
                 "without bound over the uptime)");
@@ -80,7 +96,7 @@ void Server::start(core::OnlineEmbedder& algo, Clock& clock) {
   auto loop = std::make_unique<engine::SlotLoop>(
       substrate_, apps_, engine::EngineConfig{config_.sim, config_.replan, {}},
       algo, clock, std::vector<engine::Observer*>{}, &stats_,
-      config_.series_window_slots);
+      kSeriesWindowSlots);
   // Portfolio re-planning snapshots the embedder at every launch slot; an
   // embedder without WorldState support would only be discovered inside
   // the serving thread, so refuse it here as well.
@@ -93,7 +109,7 @@ void Server::start(core::OnlineEmbedder& algo, Clock& clock) {
   submitted_.store(0, std::memory_order_relaxed);
   queue_rejects_.store(0, std::memory_order_relaxed);
   clock_.store(&clock, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
+  mode_ = Mode::Serving;
   thread_ = std::thread(
       [this, loop = std::move(loop), &clock] { serve_loop(*loop, clock); });
 }
@@ -129,32 +145,30 @@ Server::Submit Server::submit(const workload::Request& r) {
 
 void Server::stop(bool drain) {
   // The lock makes stop() idempotent under concurrency: only one caller
-  // reaches join(), later ones see an unjoinable thread and return.
+  // reaches join(), later ones find the server idle and return.
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  if (!thread_.joinable()) return;
+  if (mode_ != Mode::Serving) return;
   drain_on_stop_.store(drain, std::memory_order_release);
   stop_requested_.store(true, std::memory_order_seq_cst);
   thread_.join();
-  running_.store(false, std::memory_order_release);
+  mode_ = Mode::Idle;
   clock_.store(nullptr, std::memory_order_release);
 }
 
 void Server::serve_loop(engine::SlotLoop& loop, Clock& clock) {
-  // The engine's slot loop with live accounting: no horizon until stop(),
-  // so per-slot state is freed as slots pass and the series is a trailing
-  // ring.  Re-plans aggregate the loop's own admission log, the same
-  // trailing window an engine run clips.  The loop writes its counters
-  // and latency samples into stats_.
+  // The engine's slot loop, driven live: no horizon until stop(), the
+  // loop's calendar frees each slot as it passes and the series is a
+  // trailing ring of kSeriesWindowSlots.  Re-plans aggregate the loop's own
+  // admission log, the same trailing window an engine run clips.  The loop
+  // writes its counters and latency samples into stats_.
   //
   // Short naps need a tight timer slack (per thread, no privilege needed).
   // A failed call only makes wake-ups later, which is no error here.
   prctl(PR_SET_TIMERSLACK, kTimerSlackNs, 0, 0, 0);
-  const auto busy_nap =
-      std::min<Clock::duration>(config_.idle_backoff, kBusyNap);
   std::vector<workload::Request> batch;
   std::vector<Clock::time_point> enq;
-  batch.reserve(config_.max_batch);
-  enq.reserve(config_.max_batch);
+  batch.reserve(kMaxBatch);
+  enq.reserve(kMaxBatch);
   workload::RequestId next_id = 0;
 
   const auto t0 = clock.now();
@@ -165,14 +179,14 @@ void Server::serve_loop(engine::SlotLoop& loop, Clock& clock) {
   bool stopping = false;
   std::int64_t last_drain_slot = -2;  // no drain yet: naps start long
 
-  // Pops up to max_batch queued requests into batch/enq, stamping ids and
+  // Pops up to kMaxBatch queued requests into batch/enq, stamping ids and
   // the current slot (Request::arrival is an int and saturates at INT_MAX;
   // the loop's own bookkeeping runs on the 64-bit slot).
   const auto fill_batch = [&] {
     batch.clear();
     enq.clear();
     Queued q;
-    while (batch.size() < config_.max_batch && queue_->try_pop(q)) {
+    while (batch.size() < kMaxBatch && queue_->try_pop(q)) {
       q.req.id = next_id++;
       q.req.arrival = static_cast<int>(std::min(t, kMaxIntSlot));
       batch.push_back(q.req);
@@ -191,8 +205,8 @@ void Server::serve_loop(engine::SlotLoop& loop, Clock& clock) {
     // immediately — slots never stretch, they are wall time.  A stop
     // request breaks out at once, whatever the backlog: the final pass
     // below settles the queue.  An empty queue naps: briefly while traffic
-    // flows (this slot or the last one drained a request), idle_backoff
-    // once a whole slot passed empty, so an idle server stays cheap.
+    // flows (this slot or the last one drained a request), longer once a
+    // whole slot passed empty, so an idle server stays cheap.
     const auto deadline = t0 + (t + 1) * config_.slot_duration;
     for (;;) {
       if (stop_requested_.load(std::memory_order_seq_cst)) {
@@ -205,8 +219,7 @@ void Server::serve_loop(engine::SlotLoop& loop, Clock& clock) {
           std::max(stats_.queue_high_water, queue_->approx_size());
       fill_batch();
       if (batch.empty()) {
-        const auto nap =
-            t - last_drain_slot <= 1 ? busy_nap : config_.idle_backoff;
+        const auto nap = t - last_drain_slot <= 1 ? kBusyNap : kIdleNap;
         clock.sleep_until(std::min(deadline, now + nap));
         continue;
       }

@@ -2,18 +2,23 @@
 // (docs/serving.md).
 //
 // The slot body is engine::SlotLoop, the same one Engine::run and
-// Engine::run_stream run; the server runs it in two ways:
+// Engine::run_stream run; the server runs it in two ways, from one
+// ServerConfig:
 //
 //  * run_simulated(algo, stream) drives a TraceStream under an internal
 //    SimulatedClock and is bit-identical to Engine::run_stream on the same
 //    inputs (pinned by tests/serve_test.cpp) — the determinism contract
-//    extends unchanged to the serving layer;
+//    extends unchanged to the serving layer, and a live config simulates
+//    too, since the run ends with its work;
 //  * start(algo, clock) drives the loop against wall deadlines: producer
 //    threads submit() Requests through the lock-free MPSC queue, the
 //    serving thread drains them in batches, decides each admission via the
 //    OLIVE fast path, expires leases at slot boundaries (wall deadlines),
 //    hot-swaps re-planned allocations between batch drains, and records
 //    per-request admission latency into a log-linear histogram.
+//
+// A server is idle, simulating or serving, and changes mode only under its
+// lifecycle lock: neither drive begins while the other runs.
 //
 // Two-mode determinism contract: the SimulatedClock path reads no wall
 // time at all, re-plan solves included (bit-identical runs, zero wall
@@ -51,7 +56,8 @@ namespace olive::serve {
 struct ServerConfig {
   /// Measurement window / psi / drain settings, same meaning as in the
   /// batch engine.  Live runs are unbounded: drain_slots is ignored and
-  /// the run ends at stop().
+  /// the run ends at stop().  A live config measures everything
+  /// (measure_to = 1 << 30); run_simulated takes it as well.
   core::SimulatorConfig sim;
   /// Mid-run re-planning (engine::ReplanPolicy), in both modes.  The demand
   /// window is clipped from the loop's log of drained arrivals, exactly as
@@ -64,19 +70,6 @@ struct ServerConfig {
   std::size_t queue_capacity = std::size_t{1} << 14;
   /// Wall length of one engine slot in live mode (and the simulated tick).
   std::chrono::nanoseconds slot_duration = std::chrono::milliseconds(10);
-  /// Max requests drained per batch between deadline checks; also the
-  /// hint_arrivals speculation batch handed to the embedder.
-  std::size_t max_batch = 1024;
-  /// Nap length while the queue is empty and neither this slot nor the
-  /// previous one drained a request; while traffic flows the serving thread
-  /// naps min(idle_backoff, 5 us) instead, at a 1 us timer slack
-  /// (docs/serving.md).  Must be positive; bounded so stop() is prompt.
-  std::chrono::nanoseconds idle_backoff = std::chrono::microseconds(50);
-  /// Live mode keeps only this many trailing slots of the offered/allocated
-  /// series (0 disables series collection entirely) — a long-lived service
-  /// must not grow per-slot state without bound.  Ignored by run_simulated,
-  /// whose series span the whole bounded run, exactly like run_stream's.
-  std::size_t series_window_slots = 4096;
 };
 
 /// Long-lived serving facade over one OnlineEmbedder.  The embedder and the
@@ -105,7 +98,8 @@ class Server {
   /// bit-identical to Engine::run_stream(algo, stream) with the same
   /// SimulatorConfig and ReplanConfig.  Reads no wall clock anywhere, the
   /// re-plan solves included (algo_seconds and replan_seconds stay 0).
-  /// stats() is filled deterministically afterwards.
+  /// stats() is filled deterministically afterwards.  Throws
+  /// InvalidArgument unless the server is idle.
   core::SimMetrics run_simulated(core::OnlineEmbedder& algo,
                                  workload::TraceStream& stream);
 
@@ -113,9 +107,9 @@ class Server {
   /// [t0 + t·slot_duration, t0 + (t+1)·slot_duration); arrivals are
   /// stamped with the slot they are drained in, and leases expire at the
   /// slot boundary `arrival + duration` — wall deadlines.  Refuses
-  /// sim.record_requests: records would grow without bound.  Safe to race
-  /// with other start() calls: one starts the serving thread, the others
-  /// throw InvalidArgument, as does a start() while running.
+  /// sim.record_requests: records would grow without bound.  Throws
+  /// InvalidArgument unless the server is idle: of racing start() calls,
+  /// one starts the serving thread.
   void start(core::OnlineEmbedder& algo, Clock& clock);
 
   /// Hands one request to the serving thread (id and arrival slot are
@@ -133,11 +127,13 @@ class Server {
   /// every already-enqueued request first; drain=false discards the backlog
   /// promptly without deciding it (counted in ServerStats::abandoned).
   /// Idempotent and safe to call from multiple threads concurrently;
-  /// submit() returns Stopped from the moment stop() begins.
+  /// submit() returns Stopped from the moment stop() begins.  A no-op
+  /// unless serving (a simulation runs to its end).
   void stop(bool drain = true);
 
+  /// True while the live serving thread runs.
   bool running() const noexcept {
-    return running_.load(std::memory_order_acquire);
+    return mode_.load(std::memory_order_acquire) == Mode::Serving;
   }
 
   /// Valid after run_simulated() returns or stop() joins.
@@ -152,6 +148,9 @@ class Server {
     Clock::time_point enqueued{};
   };
 
+  /// What the server is doing; changed only under lifecycle_mu_.
+  enum class Mode { Idle, Simulating, Serving };
+
   void serve_loop(engine::SlotLoop& loop, Clock& clock);
 
   const net::SubstrateNetwork& substrate_;
@@ -159,9 +158,9 @@ class Server {
   ServerConfig config_;
   std::unique_ptr<MpscQueue<Queued>> queue_;
   std::atomic<Clock*> clock_{nullptr};  // set by start(), read by submit()
-  std::mutex lifecycle_mu_;             // serializes start()/stop()
+  std::mutex lifecycle_mu_;  // serializes mode changes
+  std::atomic<Mode> mode_{Mode::Idle};
   std::thread thread_;
-  std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> drain_on_stop_{true};
   std::atomic<long> in_flight_{0};  // submit() calls between entry and exit

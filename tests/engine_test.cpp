@@ -1,11 +1,13 @@
 // The engine's contracts: the EmbedderRegistry resolves the built-ins (and
 // one-file plugins) by name, observers see every slot and outcome without
 // perturbing the run, on the drifting-utilization scenario the asynchronous
-// ReplanPolicy beats the static plan, and every re-plan window clipped from
-// the slot loop's admission log equals the clip of the full trace.
+// ReplanPolicy beats the static plan, every re-plan window clipped from
+// the slot loop's admission log equals the clip of the full trace, and a
+// run that ends early by the end rule loses nothing a live drive sees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +19,9 @@
 #include "engine/registry.hpp"
 #include "engine/slot_loop.hpp"
 #include "net/embedding.hpp"
+#include "serve/clock.hpp"
+#include "workload/failures.hpp"
+#include "workload/stream.hpp"
 
 namespace olive::engine {
 namespace {
@@ -484,6 +489,130 @@ TEST(EngineDryRun, ScoresACandidatePlanWithoutDisturbingTheLiveRun) {
   const DryRunReport unsupported =
       engine.dry_run_plan(planless, sc.plan, window);
   EXPECT_FALSE(unsupported.supported);
+}
+
+// ----------------------------------------------------------- end rule
+//
+// SlotLoop::run stops before slot t once the stream is spent, t is past
+// the last departure, no failure event is left, no re-plan is in flight
+// and no launch window from t on can hold demand.  Each case below leaves
+// a different condition to hold last, so a run that drops any one of them
+// ends too soon and loses a request, a departure, an install or a failure.
+
+/// Iris arrivals of slots [0, 5) and [20, 25), re-based to slot 0 and cut
+/// to depart by slots 8 and 33: a gap no lease spans, then a last
+/// departure at slot 33.
+workload::Trace gapped_trace(const workload::Trace& online) {
+  const int base = online.front().arrival;
+  workload::Trace trace;
+  for (workload::Request r : online) {
+    r.arrival -= base;
+    if (r.arrival >= 25 || (r.arrival >= 5 && r.arrival < 20)) continue;
+    r.duration = std::min(r.duration, (r.arrival < 5 ? 8 : 33) - r.arrival);
+    trace.push_back(r);
+  }
+  return trace;
+}
+
+TEST(SlotLoopEndRule, EndingEarlyLosesNothing) {
+  const core::ScenarioConfig cfg = small_config();
+  const core::Scenario sc = core::build_scenario(cfg);
+  const workload::Trace trace = gapped_trace(sc.online);
+  std::int64_t last_departure = 0;
+  for (const auto& r : trace)
+    last_departure = std::max<std::int64_t>(last_departure, r.departure());
+  ASSERT_EQ(last_departure, 33);
+  constexpr int kPeriod = 10;
+
+  struct Case {
+    const char* name;
+    bool replan;
+    bool failures;
+    std::size_t slots;  ///< where run(stream) ends
+    long replans;
+  };
+  // Without re-planning the gap and the last departure bind: slot 34.
+  // K = 1 re-planning launches every 10 slots over 20-slot windows and
+  // installs 5 slots later.  The launch at 40 reaches back to the
+  // departures, and the launch at 50 (window [30, 50)) installs at 55,
+  // after the window has passed them at 53: slot 56.  A node down at 58
+  // and up again at 61 outlasts both: slot 62.
+  for (const Case& c : {Case{"plain", false, false, 34, 0},
+                        Case{"replan", true, false, 56, 5},
+                        Case{"replan+failures", true, true, 62, 5}}) {
+    SCOPED_TRACE(c.name);
+    EngineConfig ecfg;
+    ecfg.sim.measure_from = 0;
+    ecfg.sim.measure_to = 1 << 30;  // the live idiom
+    if (c.replan) {
+      ecfg.replan.period = kPeriod;
+      ecfg.replan.window = 2 * kPeriod;
+      ecfg.replan.install_delay = 5;
+      ecfg.replan.plan = cfg.plan;
+      ecfg.replan.plan.max_rounds = 4;
+      ecfg.replan.seed = cfg.seed;
+    }
+    if (c.failures)
+      ecfg.failures.trace = {{58, workload::FailureKind::NodeDown, 0},
+                             {61, workload::FailureKind::NodeUp, 0}};
+
+    // (a) the bounded drive, which ends by the rule.
+    serve::SimulatedClock clock_a;
+    core::OliveEmbedder algo_a(sc.substrate, sc.apps, sc.plan, "OLIVE");
+    workload::VectorTraceStream stream(trace);
+    const core::SimMetrics a =
+        SlotLoop(sc.substrate, sc.apps, ecfg, algo_a, clock_a).run(stream);
+
+    // (b) the live drive, three periods past the last departure.
+    serve::SimulatedClock clock_b;
+    core::OliveEmbedder algo_b(sc.substrate, sc.apps, sc.plan, "OLIVE");
+    SlotLoop live(sc.substrate, sc.apps, ecfg, algo_b, clock_b, {}, nullptr,
+                  /*series_window=*/1000);
+    std::size_t next = 0;
+    for (std::int64_t t = 0; t <= last_departure + 3 * kPeriod; ++t) {
+      live.begin_slot(t);
+      const std::size_t first = next;
+      while (next < trace.size() && trace[next].arrival == t) ++next;
+      live.admit(trace.data() + first, next - first);
+      live.end_slot();
+    }
+    const core::SimMetrics b = live.finish();
+
+    EXPECT_EQ(a.offered_series.size(), c.slots);
+    EXPECT_EQ(b.replans, c.replans);
+    EXPECT_EQ(b.failures, c.failures ? 2 : 0);
+    EXPECT_EQ(a.offered, b.offered);
+    EXPECT_EQ(a.accepted, b.accepted);
+    EXPECT_EQ(a.rejected, b.rejected);
+    EXPECT_EQ(a.preempted, b.preempted);
+    EXPECT_EQ(a.offered_demand, b.offered_demand);
+    EXPECT_EQ(a.rejected_demand, b.rejected_demand);
+    EXPECT_EQ(a.rejection_cost, b.rejection_cost);
+    EXPECT_EQ(a.failures, b.failures);
+    EXPECT_EQ(a.failure_hit, b.failure_hit);
+    EXPECT_EQ(a.sla_violations, b.sla_violations);
+    EXPECT_EQ(a.replans, b.replans);
+    EXPECT_EQ(a.plan_solves, b.plan_solves);
+    EXPECT_EQ(a.plan_simplex_iterations, b.plan_simplex_iterations);
+    EXPECT_EQ(a.plan_rounds, b.plan_rounds);
+    EXPECT_EQ(a.plan_columns_generated, b.plan_columns_generated);
+    EXPECT_EQ(a.plan_objective_sum, b.plan_objective_sum);
+    EXPECT_EQ(a.plan_warm_start_hits, b.plan_warm_start_hits);
+    EXPECT_EQ(a.plan_refactorizations, b.plan_refactorizations);
+    EXPECT_EQ(a.plan_eta_length_max, b.plan_eta_length_max);
+    // The live drive keeps accruing the empty substrate's rounding residue.
+    EXPECT_NEAR(a.resource_cost, b.resource_cost, 1e-9 * b.resource_cost);
+    EXPECT_GT(b.resource_cost, 0.0);
+
+    // (a)'s series are the start of (b)'s, and the rest of (b)'s is flat.
+    ASSERT_FALSE(a.offered_series.empty());
+    ASSERT_LT(a.offered_series.size(), b.offered_series.size());
+    for (std::size_t i = 0; i < b.offered_series.size(); ++i) {
+      const std::size_t j = std::min(i, a.offered_series.size() - 1);
+      EXPECT_EQ(b.offered_series[i], a.offered_series[j]) << "slot " << i;
+      EXPECT_EQ(b.allocated_series[i], a.allocated_series[j]) << "slot " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // full-queue backpressure, drain-on-shutdown — and the live serve::Server
 // under real producer threads: every submission is decided or explicitly
 // bounced, graceful drain empties the queue, racing start() calls start one
-// serving thread, plan hot-swaps land mid-run without corrupting the
-// counters, and the idle naps are short only while traffic flows.
+// serving thread, a simulation and the serving thread never overlap, plan
+// hot-swaps land mid-run without corrupting the counters, and the idle
+// naps are short only while traffic flows.
 #include <gtest/gtest.h>
 #include <sys/prctl.h>
 
@@ -27,6 +28,7 @@
 #include "serve/server.hpp"
 #include "topo/topologies.hpp"
 #include "workload/appgen.hpp"
+#include "workload/stream.hpp"
 #include "workload/tracegen.hpp"
 
 namespace olive {
@@ -381,6 +383,118 @@ TEST_F(LiveServer, ConcurrentStartCallsStartOneServingThread) {
             static_cast<std::uint64_t>(st.decided));
 }
 
+/// Forwards to another embedder; reset(), which start() and run_simulated
+/// call while they build the slot loop, counts `entered` down and then
+/// lingers 200 ms, so a second drive can be aimed inside the first one's
+/// setup.
+class LingeringResetEmbedder final : public core::OnlineEmbedder {
+ public:
+  explicit LingeringResetEmbedder(core::OnlineEmbedder& inner)
+      : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  void reset() override {
+    if (!entered.try_wait()) entered.count_down();
+    std::this_thread::sleep_for(200ms);
+    inner_.reset();
+  }
+  core::EmbedOutcome embed(const workload::Request& r) override {
+    return inner_.embed(r);
+  }
+  void depart(const workload::Request& r) override { inner_.depart(r); }
+  const core::LoadTracker& load() const override { return inner_.load(); }
+
+  std::latch entered{1};
+
+ private:
+  core::OnlineEmbedder& inner_;
+};
+
+/// The trace's 200 slots, measured whole; 1 ms live slots.
+serve::ServerConfig one_drive_config() {
+  serve::ServerConfig scfg;
+  scfg.sim.measure_from = 0;
+  scfg.sim.measure_to = 200;
+  scfg.slot_duration = 1ms;
+  return scfg;
+}
+
+TEST_F(LiveServer, RunSimulatedRefusedWhileStartBuildsTheLoop) {
+  // One drive at a time: a simulation aimed inside start()'s setup must
+  // neither run beside the serving thread nor touch its stats.
+  serve::Server server(substrate_, apps_, one_drive_config());
+  core::OliveEmbedder olive(substrate_, apps_, core::Plan::empty(), "QuickG");
+  LingeringResetEmbedder live_algo(olive);
+  serve::SteadyClock clock;
+  std::thread starter([&] { server.start(live_algo, clock); });
+  live_algo.entered.wait();  // start() is building the loop
+
+  core::OliveEmbedder sim_algo(substrate_, apps_, core::Plan::empty(),
+                               "QuickG");
+  workload::VectorTraceStream stream(bodies_);
+  EXPECT_THROW(server.run_simulated(sim_algo, stream), InvalidArgument);
+  starter.join();
+  ASSERT_TRUE(server.running());
+
+  long enqueued = 0;
+  for (int i = 0; i < 2000; ++i)
+    if (server.submit(bodies_[i % bodies_.size()]) ==
+        serve::Server::Submit::Enqueued)
+      ++enqueued;
+  server.stop(/*drain=*/true);
+  EXPECT_FALSE(server.running());
+
+  const serve::ServerStats& st = server.stats();
+  EXPECT_EQ(st.submitted, enqueued);
+  EXPECT_EQ(st.decided + st.abandoned, st.submitted);
+  EXPECT_EQ(st.decided, st.accepted + st.rejected);
+}
+
+TEST_F(LiveServer, StartRefusedWhileSimulating) {
+  // The other order: while run_simulated builds its loop, start() is
+  // refused and stop() leaves the simulation alone; it runs whole, and
+  // the server is idle again afterwards.
+  serve::Server server(substrate_, apps_, one_drive_config());
+  core::OliveEmbedder olive(substrate_, apps_, core::Plan::empty(), "QuickG");
+  LingeringResetEmbedder sim_algo(olive);
+  workload::VectorTraceStream stream(bodies_);
+  core::SimMetrics simulated;
+  std::thread simulator(
+      [&] { simulated = server.run_simulated(sim_algo, stream); });
+  sim_algo.entered.wait();  // run_simulated is building the loop
+
+  core::OliveEmbedder live_algo(substrate_, apps_, core::Plan::empty(),
+                                "QuickG");
+  serve::SteadyClock clock;
+  EXPECT_THROW(server.start(live_algo, clock), InvalidArgument);
+  EXPECT_FALSE(server.running());
+  server.stop(/*drain=*/false);  // nothing is serving: a no-op
+  simulator.join();
+
+  serve::Server fresh(substrate_, apps_, one_drive_config());
+  core::OliveEmbedder fresh_algo(substrate_, apps_, core::Plan::empty(),
+                                 "QuickG");
+  workload::VectorTraceStream fresh_stream(bodies_);
+  const core::SimMetrics reference =
+      fresh.run_simulated(fresh_algo, fresh_stream);
+  EXPECT_EQ(simulated.offered, reference.offered);
+  EXPECT_EQ(simulated.accepted, reference.accepted);
+  EXPECT_EQ(simulated.rejected, reference.rejected);
+  EXPECT_EQ(simulated.preempted, reference.preempted);
+  EXPECT_EQ(simulated.resource_cost, reference.resource_cost);
+  EXPECT_EQ(simulated.offered_series, reference.offered_series);
+  const serve::ServerStats& st = server.stats();
+  EXPECT_EQ(st.decided, fresh.stats().decided);
+  EXPECT_EQ(st.slots, fresh.stats().slots);
+  EXPECT_EQ(st.decided + st.abandoned, st.submitted);
+  EXPECT_EQ(st.decided, st.accepted + st.rejected);
+  EXPECT_GT(st.decided, 0);
+
+  server.start(live_algo, clock);
+  EXPECT_TRUE(server.running());
+  server.stop(/*drain=*/true);
+  EXPECT_FALSE(server.running());
+}
+
 /// SimulatedClock semantics plus two test hooks: every nap is recorded with
 /// its slot and the napping thread's timer slack, and a nap that would
 /// carry time past the hold blocks until the test moves the hold on — so
@@ -470,7 +584,7 @@ TEST_F(LiveServer, NapsShortOnlyWhileTrafficFlows) {
   ASSERT_EQ(server.stats().decided, 1);
 
   constexpr auto kBusyNap = 5us;
-  const auto idle = scfg.idle_backoff;
+  constexpr auto idle = 50us;  // the server's idle nap
   std::int64_t drain_slot = -1;  // slot of the first 5 us nap
   std::vector<int> busy_naps(10, 0), idle_naps(10, 0);
   for (const auto& nap : clock.naps) {

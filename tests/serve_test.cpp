@@ -5,7 +5,8 @@
 //  * the Server constructor's refusal of non-positive settings;
 //  * the equivalence lockdown — serve::Server under SimulatedClock is
 //    bit-identical to Engine::run_stream on the same Mmpp/Caida configs
-//    (the two-mode determinism contract's simulated half);
+//    (the two-mode determinism contract's simulated half), the live
+//    config's open measurement window included;
 //  * pre-drawn open-loop arrival schedules are deterministic and match the
 //    requested rate.
 #include <gtest/gtest.h>
@@ -173,10 +174,6 @@ TEST(ServerConfig, ConstructorRejectsNonPositiveSettings) {
     EXPECT_THROW({ serve::Server s(substrate, apps, c); }, InvalidArgument);
   };
   refused([](serve::ServerConfig& c) { c.slot_duration = 0ns; });
-  refused([](serve::ServerConfig& c) { c.max_batch = 0; });
-  // A nap of 0 would never carry a simulated live server to its deadline.
-  refused([](serve::ServerConfig& c) { c.idle_backoff = 0us; });
-  refused([](serve::ServerConfig& c) { c.idle_backoff = -1us; });
   EXPECT_NO_THROW({ serve::Server s(substrate, apps); });
 }
 
@@ -270,6 +267,35 @@ TEST_F(ServeEquivalence, SimulatedServerBitIdenticalToRunStreamOnCaida) {
   expect_metrics_identical(engine_m, serve_m);
   EXPECT_GT(engine_m.offered, 0);
   EXPECT_FALSE(serve_m.records.empty());
+}
+
+TEST_F(ServeEquivalence, LiveConfigSimulatesToTheLastDeparture) {
+  // The live idiom measures everything (measure_to = 1 << 30), yet the run
+  // ends with its work, one slot past the last departure: one ServerConfig
+  // drives both modes, bit-identical to run_stream.
+  config_.horizon = 3000;
+  sim_.measure_from = 0;
+  sim_.measure_to = 1 << 30;
+  Rng a(911), b(911), c(911);
+  workload::MmppTraceStream s1(substrate_, apps_, config_, a);
+  const core::SimMetrics engine_m = engine_run(s1);
+  workload::MmppTraceStream s2(substrate_, apps_, config_, b);
+  const core::SimMetrics serve_m = server_run(s2);
+  expect_metrics_identical(engine_m, serve_m);
+
+  workload::MmppTraceStream s3(substrate_, apps_, config_, c);
+  std::vector<workload::Request> slot;
+  long requests = 0;
+  int first = -1, last_departure = 0;
+  for (int t = s3.next_slot(slot); t >= 0; t = s3.next_slot(slot))
+    for (const workload::Request& r : slot) {
+      if (first < 0) first = t;
+      ++requests;
+      last_departure = std::max(last_departure, r.departure());
+    }
+  EXPECT_EQ(serve_m.offered, requests);
+  EXPECT_EQ(serve_m.offered_series.size(),
+            static_cast<std::size_t>(last_departure - first + 1));
 }
 
 TEST_F(ServeEquivalence, TwoSimulatedRunsAreBitIdentical) {
