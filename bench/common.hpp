@@ -428,7 +428,9 @@ inline void write_json(const std::string& bench,
 struct PerfCase {
   std::string name;
   std::string topology;
-  std::string basis = "sparse_lu";  ///< "sparse_lu" | "dense"
+  /// The master's basis engine; the sparse LU is the only one, the field
+  /// stays for schema olive-perf-v8.
+  std::string basis = "sparse_lu";
   int reps = 0;
   double seconds_total = 0;
   long simplex_iterations = 0;

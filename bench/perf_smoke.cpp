@@ -4,8 +4,8 @@
 // (b) a short SLOTOFF window (the per-slot master re-solve loop) on the two
 // topologies where SLOTOFF is tractable at quick scale (Iris, CittaStudi),
 // plus (c) the fat-tree *scale* cases (FatTree4/FatTree8, 36 and 208
-// substrate nodes) that pit the SparseLU basis against the Dense reference
-// and measure the cross-solve basis warm start, then writes BENCH_perf.json
+// substrate nodes) that time cold masters and measure the cross-solve
+// basis warm start, then writes BENCH_perf.json
 // so successive PRs can be compared on identical workloads.  See
 // EXPERIMENTS.md "Performance smoke test" for the schema and how to diff
 // runs.
@@ -272,40 +272,28 @@ int main(int argc, char** argv) {
 
   // --- fat-tree scale cases -------------------------------------------------
   // k=8 is several times the paper's largest topology (208 nodes, 384
-  // links); here the sparse basis must show a superlinear win over the
-  // dense inverse while the optima stay bit-identical (the differential
-  // suite enforces the latter; this harness records both trajectories).
+  // links): the cold masters the sparse basis factorization is built for.
   for (const int k : {4, 8}) {
     const std::string topo = "FatTree" + std::to_string(k);
     auto cfg = bench::base_config(scale, topo, 1.0);
     const core::Scenario sc = core::build_scenario(cfg, 0);
     const int scale_reps = std::max(1, std::min(plan_reps, k == 8 ? 2 : 3));
 
-    double dense_seconds = 0, sparse_seconds = 0;
-    for (const auto basis : {lp::BasisKind::SparseLU, lp::BasisKind::Dense}) {
-      const bool sparse = basis == lp::BasisKind::SparseLU;
+    {
       bench::PerfCase c;
-      c.name = sparse ? "scale_plan_cold_sparse" : "scale_plan_cold_dense";
+      c.name = "scale_plan_cold_sparse";
       c.topology = topo;
-      c.basis = sparse ? "sparse_lu" : "dense";
       c.reps = scale_reps;
-      core::PlanVneConfig pcfg = cfg.plan;
-      pcfg.lp.basis = basis;
       for (int rep = 0; rep < scale_reps; ++rep) {
         core::PlanSolveInfo info;
         const auto start = Clock::now();
         const core::Plan plan = core::solve_plan_vne(
-            sc.substrate, sc.apps, sc.aggregates, pcfg, &info);
+            sc.substrate, sc.apps, sc.aggregates, cfg.plan, &info);
         accumulate(c, info, seconds_since(start));
       }
-      (sparse ? sparse_seconds : dense_seconds) = c.seconds_total;
       cases.push_back(c);
       print_case(c);
     }
-    std::cout << "# " << topo << " sparse-vs-dense cold speedup: "
-              << bench::json_num(dense_seconds /
-                                 std::max(1e-12, sparse_seconds))
-              << "x\n";
 
     // Consecutive-slot regime: the same classes re-solved under drifting
     // demands (deterministic ±8% churn per rep), sharing a column cache.

@@ -19,7 +19,6 @@
 #include <unordered_map>
 
 #include "core/algorithm.hpp"
-#include "lp/mip.hpp"
 #include "net/vnet.hpp"
 
 namespace olive::core {
@@ -27,10 +26,7 @@ namespace olive::core {
 class FullGreedyEmbedder final : public OnlineEmbedder {
  public:
   FullGreedyEmbedder(const net::SubstrateNetwork& s,
-                     const std::vector<net::Application>& apps,
-                     lp::MipOptions mip_options = default_mip_options());
-
-  static lp::MipOptions default_mip_options();
+                     const std::vector<net::Application>& apps);
 
   std::string name() const override { return "FullG"; }
   void reset() override;
@@ -50,7 +46,6 @@ class FullGreedyEmbedder final : public OnlineEmbedder {
 
   const net::SubstrateNetwork& substrate_;
   const std::vector<net::Application>& apps_;
-  lp::MipOptions mip_options_;
   LoadTracker load_;
   std::unordered_map<workload::RequestId, Active> active_;
 };

@@ -98,7 +98,7 @@ struct PlanSolveInfo {
   bool warm_start_attempted = false;
   bool warm_start_hit = false;
   /// Basis-maintenance counters summed over the master's lifetime (see
-  /// lp::FactorStats; eta stats are zero in Dense basis mode).
+  /// lp::FactorStats).
   long refactorizations = 0;
   long eta_length_max = 0;
 };

@@ -83,7 +83,7 @@ void BasisFactor::factorize_impl(int m, const std::vector<FactorColumn>& cols,
     WorkRow& r = rows[i];
     // Sort the row by column id and coalesce duplicate (row, column) pairs
     // (callers may pass columns with repeated row entries; they accumulate,
-    // matching the dense FTRAN semantics).
+    // matching the simplex's FTRAN of a column).
     std::vector<int> order(r.cols.size());
     for (std::size_t e = 0; e < order.size(); ++e) order[e] = static_cast<int>(e);
     std::sort(order.begin(), order.end(),

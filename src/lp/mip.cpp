@@ -10,6 +10,11 @@ namespace olive::lp {
 
 namespace {
 
+/// Integrality tolerance of a branching candidate's LP value.
+constexpr double kIntTol = 1e-6;
+/// Relative optimality gap at which search stops.
+constexpr double kRelGap = 1e-9;
+
 struct BoundFix {
   int col;
   double lo, up;
@@ -50,7 +55,7 @@ MipResult solve_mip(const Model& model, const std::vector<int>& integer_cols,
     // incumbent exists so that `inf - prune_tol` stays well-defined.
     const double prune_tol =
         std::isfinite(best.objective)
-            ? options.rel_gap * std::max(1.0, std::abs(best.objective))
+            ? kRelGap * std::max(1.0, std::abs(best.objective))
             : 0.0;
     if (std::isfinite(best.objective) &&
         node.parent_bound >= best.objective - prune_tol) {
@@ -86,7 +91,7 @@ MipResult solve_mip(const Model& model, const std::vector<int>& integer_cols,
           lp.objective < best.objective - prune_tol) {
         // Find the most fractional integer column.
         int branch_col = -1;
-        double branch_val = 0, worst_frac = options.int_tol;
+        double branch_val = 0, worst_frac = kIntTol;
         for (int c : integer_cols) {
           const double v = lp.x[static_cast<std::size_t>(c)];
           const double frac = std::abs(v - std::round(v));

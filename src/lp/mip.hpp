@@ -15,9 +15,6 @@ namespace olive::lp {
 
 struct MipOptions {
   long max_nodes = 20000;
-  double int_tol = 1e-6;
-  /// Relative optimality gap at which search stops.
-  double rel_gap = 1e-9;
   SimplexOptions lp;
 };
 

@@ -12,6 +12,19 @@ namespace olive::lp {
 namespace {
 constexpr double kPivotTol = 1e-9;
 constexpr int kDegenerateRunForBland = 40;
+/// Primal feasibility tolerance (absolute, on variable bounds).
+constexpr double kFeasTol = 1e-7;
+/// Reduced-cost optimality tolerance.
+constexpr double kOptTol = 1e-9;
+/// Trailing pivot window of the early-termination rule
+/// (SimplexOptions::early_term_gap), also the minimum pivot count before it
+/// may fire.
+constexpr int kEarlyTermWindow = 32;
+/// How many columns a full pricing scan keeps as candidates.
+constexpr std::size_t kCandidateListSize = 128;
+/// Below this many internal columns every iteration scans everything: the
+/// candidate-list bookkeeping costs more than it saves on small LPs.
+constexpr int kPartialPricingMinCols = 192;
 }  // namespace
 
 const char* to_string(Status s) noexcept {
@@ -26,7 +39,7 @@ const char* to_string(Status s) noexcept {
 }
 
 Simplex::Simplex(const Model& model, SimplexOptions options)
-    : options_(options), factor_(options.factor) {
+    : options_(options) {
   build_standard_form(model);
 }
 
@@ -163,8 +176,7 @@ void Simplex::crash_basis_from_residuals() {
   for (int r = 0; r < n_rows_; ++r) {
     const int slack = slack_col_[r];
     const Column& s = cols_[slack];
-    if (residual[r] >= s.lo - options_.feas_tol &&
-        residual[r] <= s.up + options_.feas_tol) {
+    if (residual[r] >= s.lo - kFeasTol && residual[r] <= s.up + kFeasTol) {
       basis_[r] = slack;
       status_[slack] = VarStatus::Basic;
       xb_[r] = residual[r];
@@ -185,16 +197,7 @@ void Simplex::crash_basis_from_residuals() {
   for (int r = 0; r < n_rows_; ++r) basis_pos_[basis_[r]] = r;
   needs_phase1_ = false;
 
-  if (sparse()) {
-    sparse_refactorize();
-  } else {
-    binv_.assign(static_cast<std::size_t>(n_rows_) * n_rows_, 0.0);
-    // Basis columns are slacks (+1) or artificials (+-1); the inverse
-    // diagonal entry is the column's own coefficient sign.
-    for (int r = 0; r < n_rows_; ++r)
-      binv_[static_cast<std::size_t>(r) * n_rows_ + r] =
-          artificial_[basis_[r]] ? 1.0 / cols_[basis_[r]].vals[0] : 1.0;
-  }
+  factorize_basis();
 
   has_basis_ = true;
   needs_phase1_ = false;
@@ -212,20 +215,8 @@ void Simplex::compute_basic_values() {
     for (std::size_t k = 0; k < col.rows.size(); ++k)
       v[col.rows[k]] -= col.vals[k] * val;
   }
-  if (sparse()) {
-    factor_.ftran(v);
-    xb_ = v;
-    return;
-  }
-  // xb = B^-1 v = sum_r v[r] * column r of B^-1 (contiguous in the
-  // column-major layout).
-  xb_.assign(n_rows_, 0.0);
-  for (int r = 0; r < n_rows_; ++r) {
-    const double vr = v[r];
-    if (vr == 0.0) continue;
-    const double* colr = &binv_[static_cast<std::size_t>(r) * n_rows_];
-    for (int i = 0; i < n_rows_; ++i) xb_[i] += colr[i] * vr;
-  }
+  factor_.ftran(v);
+  xb_ = v;
 }
 
 void Simplex::compute_duals(const std::vector<double>& costs,
@@ -237,48 +228,25 @@ void Simplex::compute_duals(const std::vector<double>& costs,
     cb[k] = costs[basis_[k]];
     any |= cb[k] != 0.0;
   }
-  y.assign(n_rows_, 0.0);
-  if (!any) return;
-  if (sparse()) {
-    y = cb;
-    factor_.btran(y);
+  if (!any) {
+    y.assign(n_rows_, 0.0);
     return;
   }
-  // y_j = sum_k c_B[k] * B^-1(k, j); column j of the layout is contiguous.
-  for (int j = 0; j < n_rows_; ++j) {
-    const double* colj = &binv_[static_cast<std::size_t>(j) * n_rows_];
-    double acc = 0;
-    for (int k = 0; k < n_rows_; ++k) acc += cb[k] * colj[k];
-    y[j] = acc;
-  }
+  y = cb;
+  factor_.btran(y);
 }
 
 void Simplex::ftran(const Column& col, std::vector<double>& out) {
   out.assign(n_rows_, 0.0);
-  if (sparse()) {
-    for (std::size_t k = 0; k < col.rows.size(); ++k)
-      out[col.rows[k]] += col.vals[k];
-    factor_.ftran(out);
-    return;
-  }
-  for (std::size_t k = 0; k < col.rows.size(); ++k) {
-    const double v = col.vals[k];
-    const double* colr =
-        &binv_[static_cast<std::size_t>(col.rows[k]) * n_rows_];
-    for (int i = 0; i < n_rows_; ++i) out[i] += colr[i] * v;
-  }
+  for (std::size_t k = 0; k < col.rows.size(); ++k)
+    out[col.rows[k]] += col.vals[k];
+  factor_.ftran(out);
 }
 
 void Simplex::basis_row(int r, std::vector<double>& rho) {
-  if (sparse()) {
-    rho.assign(n_rows_, 0.0);
-    rho[r] = 1.0;
-    factor_.btran(rho);
-    return;
-  }
-  rho.resize(n_rows_);
-  for (int j = 0; j < n_rows_; ++j)
-    rho[j] = binv_[static_cast<std::size_t>(j) * n_rows_ + r];
+  rho.assign(n_rows_, 0.0);
+  rho[r] = 1.0;
+  factor_.btran(rho);
 }
 
 double Simplex::reduced_cost(int c, const std::vector<double>& y,
@@ -292,14 +260,14 @@ double Simplex::reduced_cost(int c, const std::vector<double>& y,
 
 bool Simplex::price_eligible(VarStatus st, int c, double d, double* score,
                              int* dir) const {
-  // Eligibility (reduced cost beyond opt_tol in the improving direction) is
+  // Eligibility (reduced cost beyond kOptTol in the improving direction) is
   // rule-independent; only the score that ranks eligible columns changes.
-  if (st == VarStatus::AtLower && d < -options_.opt_tol) {
+  if (st == VarStatus::AtLower && d < -kOptTol) {
     *score = options_.pricing == PricingRule::Dantzig ? -d : d * d / weight_[c];
     *dir = +1;
     return true;
   }
-  if (st == VarStatus::AtUpper && d > options_.opt_tol) {
+  if (st == VarStatus::AtUpper && d > kOptTol) {
     *score = options_.pricing == PricingRule::Dantzig ? d : d * d / weight_[c];
     *dir = -1;
     return true;
@@ -377,14 +345,12 @@ int Simplex::price_full_scan(const std::vector<double>& y,
                              const std::vector<double>& costs, bool bland,
                              int* direction, double* entering_rc) {
   const int n = static_cast<int>(cols_.size());
-  const bool keep_candidates = !bland && options_.partial_pricing &&
-                               n >= options_.partial_pricing_min_cols;
+  const bool keep_candidates = !bland && n >= kPartialPricingMinCols;
   scratch_eligible_.clear();
   int best = -1, best_dir = 0;
-  // Weighted scores (d^2/w) can be legitimately below opt_tol for an
+  // Weighted scores (d^2/w) can be legitimately below kOptTol for an
   // eligible column, so only Dantzig may use the tolerance as a floor.
-  double best_score =
-      options_.pricing == PricingRule::Dantzig ? options_.opt_tol : 0.0;
+  double best_score = options_.pricing == PricingRule::Dantzig ? kOptTol : 0.0;
   double best_rc = 0;
   for (int c = 0; c < n; ++c) {
     const VarStatus st = status_[c];
@@ -409,8 +375,7 @@ int Simplex::price_full_scan(const std::vector<double>& y,
   if (keep_candidates) {
     // Seed the candidate list with the most attractive columns.  The
     // comparator is a total order (score, then fingerprint, then index), so
-    // membership at the cap boundary is deterministic and identical in
-    // every pricing mode.
+    // membership at the cap boundary is deterministic.
     const auto prefer = [this](const std::pair<double, int>& a,
                                const std::pair<double, int>& b) {
       if (a.first != b.first) return a.first > b.first;
@@ -419,13 +384,11 @@ int Simplex::price_full_scan(const std::vector<double>& y,
       if (fa != fb) return fa < fb;
       return a.second < b.second;
     };
-    const std::size_t cap =
-        static_cast<std::size_t>(std::max(1, options_.candidate_list_size));
-    if (scratch_eligible_.size() > cap) {
+    if (scratch_eligible_.size() > kCandidateListSize) {
       std::nth_element(scratch_eligible_.begin(),
-                       scratch_eligible_.begin() + cap - 1,
+                       scratch_eligible_.begin() + kCandidateListSize - 1,
                        scratch_eligible_.end(), prefer);
-      scratch_eligible_.resize(cap);
+      scratch_eligible_.resize(kCandidateListSize);
     }
     candidates_.clear();
     for (const auto& [score, c] : scratch_eligible_) candidates_.push_back(c);
@@ -438,16 +401,13 @@ int Simplex::price_full_scan(const std::vector<double>& y,
 int Simplex::price(const std::vector<double>& y, const std::vector<double>& costs,
                    bool bland, int* direction, double* entering_rc) {
   const int n = static_cast<int>(cols_.size());
-  if (bland || !options_.partial_pricing ||
-      n < options_.partial_pricing_min_cols) {
+  if (bland || n < kPartialPricingMinCols)
     return price_full_scan(y, costs, bland, direction, entering_rc);
-  }
 
   // Minor iteration: reprice just the candidates (exact reduced costs under
   // the current duals), dropping the ones that are no longer attractive.
   int best = -1, best_dir = 0;
-  double best_score =
-      options_.pricing == PricingRule::Dantzig ? options_.opt_tol : 0.0;
+  double best_score = options_.pricing == PricingRule::Dantzig ? kOptTol : 0.0;
   double best_rc = 0;
   std::size_t kept = 0;
   for (const int c : candidates_) {
@@ -514,77 +474,13 @@ int Simplex::append_artificial(int row, double coeff) {
   return static_cast<int>(cols_.size()) - 1;
 }
 
-void Simplex::sparse_refactorize() {
+void Simplex::factorize_basis() {
   gather_basis_columns();
   factor_.factorize(n_rows_, scratch_factor_cols_);
 }
 
-void Simplex::dense_refactorize() {
-  // Rebuild B from the basic columns and invert with Gauss–Jordan + partial
-  // pivoting.  Throws SolverError if the basis is numerically singular.
-  ++dense_refactorizations_;
-  const int m = n_rows_;
-  std::vector<double> b(static_cast<std::size_t>(m) * m, 0.0);
-  for (int k = 0; k < m; ++k) {
-    const Column& col = cols_[basis_[k]];
-    // += (not =): columns may carry duplicate row entries, which accumulate
-    // everywhere else (FTRAN, the sparse factor).
-    for (std::size_t e = 0; e < col.rows.size(); ++e)
-      b[static_cast<std::size_t>(col.rows[e]) * m + k] += col.vals[e];
-  }
-  std::vector<double> inv(static_cast<std::size_t>(m) * m, 0.0);
-  for (int i = 0; i < m; ++i) inv[static_cast<std::size_t>(i) * m + i] = 1.0;
-
-  for (int piv = 0; piv < m; ++piv) {
-    int arg = piv;
-    double best = std::abs(b[static_cast<std::size_t>(piv) * m + piv]);
-    for (int i = piv + 1; i < m; ++i) {
-      const double v = std::abs(b[static_cast<std::size_t>(i) * m + piv]);
-      if (v > best) {
-        best = v;
-        arg = i;
-      }
-    }
-    if (best < 1e-12) throw SolverError("singular basis during refactorization");
-    if (arg != piv) {
-      for (int j = 0; j < m; ++j) {
-        std::swap(b[static_cast<std::size_t>(arg) * m + j],
-                  b[static_cast<std::size_t>(piv) * m + j]);
-        std::swap(inv[static_cast<std::size_t>(arg) * m + j],
-                  inv[static_cast<std::size_t>(piv) * m + j]);
-      }
-    }
-    const double scale = 1.0 / b[static_cast<std::size_t>(piv) * m + piv];
-    for (int j = 0; j < m; ++j) {
-      b[static_cast<std::size_t>(piv) * m + j] *= scale;
-      inv[static_cast<std::size_t>(piv) * m + j] *= scale;
-    }
-    for (int i = 0; i < m; ++i) {
-      if (i == piv) continue;
-      const double f = b[static_cast<std::size_t>(i) * m + piv];
-      if (f == 0.0) continue;
-      for (int j = 0; j < m; ++j) {
-        b[static_cast<std::size_t>(i) * m + j] -=
-            f * b[static_cast<std::size_t>(piv) * m + j];
-        inv[static_cast<std::size_t>(i) * m + j] -=
-            f * inv[static_cast<std::size_t>(piv) * m + j];
-      }
-    }
-  }
-  // `inv` is row-major; transpose into the column-major store.
-  binv_.resize(static_cast<std::size_t>(m) * m);
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < m; ++j)
-      binv_[static_cast<std::size_t>(j) * m + i] =
-          inv[static_cast<std::size_t>(i) * m + j];
-}
-
 void Simplex::refactorize() {
-  if (sparse()) {
-    sparse_refactorize();
-  } else {
-    dense_refactorize();
-  }
+  factorize_basis();
   compute_basic_values();
 }
 
@@ -608,7 +504,6 @@ SolveResult Simplex::run(bool phase1, long& iteration_budget) {
   std::vector<double>& rho = scratch_rho_;
   bool bland = false;
   int degenerate_run = 0;
-  int pivots_since_refactor = 0;
   long iters = 0;
 
   // Diminishing-returns early termination (SimplexOptions::early_term_gap;
@@ -616,20 +511,19 @@ SolveResult Simplex::run(bool phase1, long& iteration_budget) {
   // objective gain of each applied step (bound flips included) in a trailing
   // ring; pure function of the deterministic pivot sequence.
   const bool early_term = !phase1 && options_.early_term_gap > 0;
-  const int et_window = std::max(1, options_.early_term_window);
   double et_total = 0, et_window_sum = 0;
   long et_steps = 0;
   std::vector<double> et_ring;
-  if (early_term) et_ring.assign(static_cast<std::size_t>(et_window), 0.0);
+  if (early_term) et_ring.assign(kEarlyTermWindow, 0.0);
 
   while (true) {
-    if (early_term && et_steps >= et_window && et_total > 0 &&
+    if (early_term && et_steps >= kEarlyTermWindow && et_total > 0 &&
         et_window_sum <= options_.early_term_gap * et_total)
       return finish(Status::GoodEnough, iters);
     if (iteration_budget-- <= 0) return finish(Status::IterationLimit, iters);
     ++iters;
 
-    if (phase1 && phase1_infeasibility() <= options_.feas_tol)
+    if (phase1 && phase1_infeasibility() <= kFeasTol)
       return finish(Status::Optimal, iters);
 
     int dir = 0;
@@ -683,7 +577,8 @@ SolveResult Simplex::run(bool phase1, long& iteration_budget) {
 
     if (early_term) {
       const double gain = -(entering_rc * dir * t);  // objective gain, >= 0
-      const std::size_t pos = static_cast<std::size_t>(et_steps++ % et_window);
+      const std::size_t pos =
+          static_cast<std::size_t>(et_steps++ % kEarlyTermWindow);
       et_window_sum += gain - et_ring[pos];
       et_ring[pos] = gain;
       et_total += gain;
@@ -716,47 +611,24 @@ SolveResult Simplex::run(bool phase1, long& iteration_budget) {
     // r of the old B^-1,
     //   new duals y = y + (d_entering / pivot) * rho
     // (the dual identity: the entering reduced cost must drop to zero and
-    // all other basic reduced costs stay zero).  Dense mode then applies
-    // the rank-1 Gauss–Jordan update to the explicit inverse; SparseLU mode
-    // appends one eta to the factor instead.
+    // all other basic reduced costs stay zero).  The factor then appends
+    // one eta for the pivot.
     const double pivot = alpha[leaving_row];
     OLIVE_ASSERT(std::abs(pivot) > kPivotTol / 10);
     const double inv_pivot = 1.0 / pivot;
     const double dual_step = entering_rc * inv_pivot;
-    const int m = n_rows_;
     basis_row(leaving_row, rho);
-    for (int j = 0; j < m; ++j)
+    for (int j = 0; j < n_rows_; ++j)
       if (rho[j] != 0.0) y[j] += dual_step * rho[j];
     update_pricing_weights(entering, leaving, pivot, rho);
 
-    bool refreshed = false;
-    if (sparse()) {
-      if (!factor_.update(leaving_row, alpha)) {
-        // Pivot too small for a stable eta: refactorize the new basis.
-        refactorize();
-        refreshed = true;
-      }
-    } else {
-      for (int j = 0; j < m; ++j) {
-        const double rj = rho[j];
-        if (rj == 0.0) continue;
-        const double pr = rj * inv_pivot;
-        double* colj = &binv_[static_cast<std::size_t>(j) * m];
-        for (int i = 0; i < m; ++i) colj[i] -= alpha[i] * pr;
-        colj[leaving_row] = pr;  // the i == leaving_row entry, exactly
-      }
-    }
-
-    ++pivots_since_refactor;
-    if (!refreshed && (pivots_since_refactor >= options_.refactor_every ||
-                       (sparse() && factor_.needs_refactorization()))) {
+    // A pivot too small for a stable eta, or an eta file past its length or
+    // fill trigger: refactorize the new basis.
+    if (!factor_.update(leaving_row, alpha) ||
+        factor_.needs_refactorization()) {
       refactorize();
-      refreshed = true;
-    }
-    if (refreshed) {
       compute_duals(costs, y);
       reset_pricing_weights();
-      pivots_since_refactor = 0;
     }
   }
 }
@@ -773,10 +645,10 @@ SolveResult Simplex::solve() {
   long budget = options_.max_iterations;
   long phase1_iterations = 0;
 
-  if (phase1_infeasibility() > options_.feas_tol) {
+  if (phase1_infeasibility() > kFeasTol) {
     SolveResult p1 = run(/*phase1=*/true, budget);
     if (p1.status == Status::IterationLimit) return p1;
-    if (phase1_infeasibility() > std::max(options_.feas_tol, 1e-6)) {
+    if (phase1_infeasibility() > std::max(kFeasTol, 1e-6)) {
       p1.status = Status::Infeasible;
       return p1;
     }
@@ -806,10 +678,10 @@ SolveResult Simplex::resolve() {
     // short phase 1 from the mostly-warm basis, then optimize as usual.
     needs_phase1_ = false;
     long phase1_iterations = 0;
-    if (phase1_infeasibility() > options_.feas_tol) {
+    if (phase1_infeasibility() > kFeasTol) {
       SolveResult p1 = run(/*phase1=*/true, budget);
       if (p1.status == Status::IterationLimit) return p1;
-      if (phase1_infeasibility() > std::max(options_.feas_tol, 1e-6)) {
+      if (phase1_infeasibility() > std::max(kFeasTol, 1e-6)) {
         // The repair basis could not reach feasibility (the true problem is
         // feasible, so this is a numerical dead end): restart cold.
         SolveResult cold = solve();
@@ -835,32 +707,25 @@ SolveResult Simplex::resolve() {
 }
 
 void Simplex::extract_solution(SolveResult& res) {
-  // Mode-independent extraction: basic values and duals are recomputed from
-  // a fresh sparse LU of the final basis, so Dense and SparseLU report
-  // bit-identical optima whenever they pivoted through the same bases.  In
-  // SparseLU mode this doubles as a free refactorization (the eta file is
-  // reset for the next resolve).
-  BasisFactor local(options_.factor);
-  BasisFactor* factor = nullptr;
+  // Basic values and duals are recomputed from a fresh LU of the final
+  // basis, which doubles as a free refactorization (the eta file is reset
+  // for the next resolve).
+  bool fresh = false;
   try {
     gather_basis_columns();
     // Factorize into a scratch object first: a SolverError mid-elimination
     // must not tear down the live factor (the fallback below and later
-    // resolve() calls keep solving against it in SparseLU mode).
+    // resolve() calls keep solving against it).
+    BasisFactor local;
     local.factorize(n_rows_, scratch_factor_cols_);
-    if (sparse()) {
-      factor_.adopt(std::move(local));
-      factor = &factor_;
-    } else {
-      factor = &local;
-    }
+    factor_.adopt(std::move(local));
+    fresh = true;
   } catch (const SolverError&) {
     // A basis the pivoting machinery accepted but the LU tolerances reject:
     // fall back to the incrementally maintained values.
-    factor = nullptr;
   }
 
-  if (factor != nullptr) {
+  if (fresh) {
     std::vector<double>& v = scratch_values_;
     v = rhs_;
     const int n = static_cast<int>(cols_.size());
@@ -872,7 +737,7 @@ void Simplex::extract_solution(SolveResult& res) {
       for (std::size_t k = 0; k < col.rows.size(); ++k)
         v[col.rows[k]] -= col.vals[k] * val;
     }
-    factor->ftran(v);
+    factor_.ftran(v);
     xb_ = v;
   }
 
@@ -897,15 +762,8 @@ void Simplex::extract_solution(SolveResult& res) {
   }
   res.duals.assign(n_rows_, 0.0);
   if (any) {
-    if (factor != nullptr) {
-      res.duals = cb;
-      factor->btran(res.duals);
-    } else {
-      std::vector<double>& costs = scratch_costs_;
-      costs.resize(cols_.size());
-      for (std::size_t c = 0; c < cols_.size(); ++c) costs[c] = cols_[c].cost;
-      compute_duals(costs, res.duals);
-    }
+    res.duals = cb;
+    factor_.btran(res.duals);
   }
 }
 
@@ -999,15 +857,11 @@ bool Simplex::warm_factorize_repair(int* artificials_added) {
   // the convexity rows produce such deficiencies even when every recorded
   // column survived.  Each pair gets a unit column — the row's slack when
   // free, else a phase-1 artificial — and the result is factorized
-  // strictly.  Both basis modes run the repair through the sparse factor
-  // (it localizes the deficiency); Dense rebuilds its explicit inverse
-  // from the repaired basis afterwards.
+  // strictly.
   gather_basis_columns();
-  BasisFactor probe(options_.factor);
-  BasisFactor& repair_factor = sparse() ? factor_ : probe;
   std::vector<int> uncovered, unpivoted;
-  repair_factor.factorize_relaxed(n_rows_, scratch_factor_cols_, &uncovered,
-                                  &unpivoted);
+  factor_.factorize_relaxed(n_rows_, scratch_factor_cols_, &uncovered,
+                            &unpivoted);
   for (std::size_t i = 0; i < uncovered.size(); ++i) {
     const int bad = uncovered[i];
     const int pos = unpivoted[i];
@@ -1029,13 +883,9 @@ bool Simplex::warm_factorize_repair(int* artificials_added) {
     }
   }
   try {
-    if (!uncovered.empty() && sparse()) {
-      sparse_refactorize();
-    } else if (!sparse()) {
-      dense_refactorize();
-    }
-    // (sparse with no repairs: the relaxed factorization completed and is
-    // already the valid factor.)
+    // With no repairs the relaxed factorization completed and is already
+    // the valid factor.
+    if (!uncovered.empty()) factorize_basis();
   } catch (const SolverError&) {
     return false;  // numerically singular even after repair: start cold
   }
@@ -1161,8 +1011,7 @@ bool Simplex::try_warm_start(const WarmStart& ws,
     std::vector<int> violated;
     for (int r = 0; r < n_rows_; ++r) {
       const Column& bcol = cols_[basis_[r]];
-      if (xb_[r] < bcol.lo - options_.feas_tol ||
-          xb_[r] > bcol.up + options_.feas_tol)
+      if (xb_[r] < bcol.lo - kFeasTol || xb_[r] > bcol.up + kFeasTol)
         violated.push_back(r);
     }
     if (violated.empty()) break;
@@ -1199,12 +1048,7 @@ bool Simplex::try_warm_start(const WarmStart& ws,
   return true;
 }
 
-FactorStats Simplex::factor_stats() const noexcept {
-  if (sparse()) return factor_.stats();
-  FactorStats s;
-  s.refactorizations = dense_refactorizations_;
-  return s;
-}
+FactorStats Simplex::factor_stats() const noexcept { return factor_.stats(); }
 
 SolveResult solve_lp(const Model& model, SimplexOptions options) {
   Simplex solver(model, options);

@@ -4,18 +4,11 @@
 //  * Standard computational form: every row gets a slack column (bounds
 //    chosen from the row sense); phase 1 adds artificial columns only for
 //    rows whose initial slack value would violate its bounds.
-//  * Two interchangeable basis representations (`SimplexOptions::basis`):
-//      - SparseLU (default): a Markowitz-ordered sparse LU factorization
-//        with eta/product-form updates per pivot (lp/factor.hpp).  FTRAN,
-//        BTRAN and the dual update are sparse solves, so pivots cost
-//        roughly O(nnz) instead of O(m²).
-//      - Dense: the m×m inverse kept explicitly in column-major order
-//        (entry (i, j) of B⁻¹ at binv_[j*m + i]), updated by Gauss–Jordan
-//        rank-1 pivots.  Kept as the differential-testing reference; for
-//        masters with a few hundred rows it remains competitive.
-//    Whenever both modes pivot through the same basis sequence they report
-//    bit-identical optima: the final solution, duals, and objective are
-//    extracted from a fresh sparse LU of the final basis in *both* modes.
+//  * The basis is a Markowitz-ordered sparse LU factorization with
+//    eta/product-form updates per pivot (lp/factor.hpp).  FTRAN, BTRAN and
+//    the dual update are sparse solves, so pivots cost roughly O(nnz)
+//    instead of O(m²).  At optimality the solution, duals and objective are
+//    extracted from a fresh LU of the final basis.
 //  * Duals are maintained incrementally: a pivot updates y with the leaving
 //    row of the old inverse (y += (d_q/alpha_r) * rho_r) instead of
 //    recomputing c_B^T B^-1 from scratch each iteration; a full recompute
@@ -28,7 +21,10 @@
 //    automatic switch to Bland's rule (full scan, lowest eligible index)
 //    after a run of degenerate pivots guarantees termination.  Reduced-cost
 //    ties are broken by column fingerprint (then index), so equal-cost
-//    column choices are identical in every pricing mode.
+//    column choices do not depend on which scan found them.
+//  * Tolerances and pricing sizes are constants of simplex.cpp
+//    (docs/lp.md "Solver constants"); SimplexOptions carries only the
+//    settings callers vary.
 //  * Columns can be appended between solves (add_column/resolve), which is
 //    what the PLAN-VNE column-generation loop uses for warm starts; a
 //    WarmStart snapshot additionally carries the basis itself across
@@ -62,8 +58,6 @@ struct SolveResult {
   long iterations = 0;
 };
 
-enum class BasisKind { Dense, SparseLU };
-
 /// Entering-column selection rule (docs/lp.md "Pricing and determinism").
 ///
 ///  * Dantzig (default): most negative reduced cost.  The historical rule;
@@ -84,25 +78,6 @@ enum class PricingRule { Dantzig, SteepestEdge };
 
 struct SimplexOptions {
   long max_iterations = 200000;
-  /// Primal feasibility tolerance (absolute, on variable bounds).
-  double feas_tol = 1e-7;
-  /// Reduced-cost optimality tolerance.
-  double opt_tol = 1e-9;
-  /// Basis representation (see header comment).
-  BasisKind basis = BasisKind::SparseLU;
-  /// Hard cap on pivots between refactorizations (both modes).  SparseLU
-  /// usually refactorizes earlier, via the `factor` triggers.
-  int refactor_every = 128;
-  /// Sparse-LU pivoting tolerances and eta-file refactorization triggers.
-  FactorOptions factor;
-  /// Candidate-list partial pricing (full Dantzig scan only when the list
-  /// runs dry).  Identical optima either way; this is purely a speed knob.
-  bool partial_pricing = true;
-  /// How many columns a full scan keeps as candidates.
-  int candidate_list_size = 128;
-  /// Below this many columns every iteration scans everything: the list
-  /// bookkeeping costs more than it saves on small LPs.
-  int partial_pricing_min_cols = 192;
   /// Entering-column selection rule (see PricingRule).  The PLAN-VNE solver
   /// switches large masters to SteepestEdge automatically
   /// (PlanVneConfig::steepest_edge_rows).
@@ -110,17 +85,14 @@ struct SimplexOptions {
   /// Diminishing-returns early termination for phase 2 ("good enough"
   /// bounded solves; docs/replanning.md).  0 — the default — disables it and
   /// leaves every code path bit-identical to the exact solver.  > 0: after
-  /// at least `early_term_window` phase-2 pivots, the solve stops with
-  /// Status::GoodEnough once the objective improvement of the trailing
-  /// `early_term_window` pivots is at most `early_term_gap` times the total
+  /// at least kEarlyTermWindow (32, simplex.cpp) phase-2 pivots, the solve
+  /// stops with Status::GoodEnough once the objective improvement of that
+  /// many trailing pivots is at most `early_term_gap` times the total
   /// phase-2 improvement so far.  The rule reads only the deterministic
   /// pivot sequence (never wall time), so bounded solves are bit-identical
   /// at every thread count.  Phase 1 is never cut short: a GoodEnough
   /// result is always primal feasible.
   double early_term_gap = 0.0;
-  /// Trailing pivot window of the early-termination rule (also the minimum
-  /// pivot count before it may fire).
-  int early_term_window = 32;
 };
 
 /// A basis snapshot that survives across Simplex instances.  Rows and
@@ -186,8 +158,7 @@ class Simplex {
 
   int num_structural() const noexcept { return n_structural_; }
 
-  /// Basis-maintenance counters accumulated over this instance's lifetime
-  /// (refactorizations in either mode; eta stats in SparseLU mode).
+  /// Basis-maintenance counters accumulated over this instance's lifetime.
   FactorStats factor_stats() const noexcept;
 
  private:
@@ -198,8 +169,6 @@ class Simplex {
     std::vector<double> vals;
     double lo = 0, up = 0, cost = 0;
   };
-
-  bool sparse() const noexcept { return options_.basis == BasisKind::SparseLU; }
 
   // --- setup ---
   void build_standard_form(const Model& model);
@@ -265,12 +234,13 @@ class Simplex {
   /// every parallel column array in sync.  Returns its internal index; the
   /// caller wires basis_/basis_pos_.
   int append_artificial(int row, double coeff);
+  /// Factorizes the current basis columns (resets the eta file).
+  void factorize_basis();
+  /// factorize_basis() plus fresh basic values.
   void refactorize();
-  void dense_refactorize();
-  void sparse_refactorize();
-  /// Mode-independent extraction of the optimal solution: basic values and
-  /// duals are recomputed from a fresh sparse LU of the final basis, so both
-  /// basis modes report bit-identical optima for the same final basis.
+  /// Extraction of the optimal solution: basic values and duals are
+  /// recomputed from a fresh LU of the final basis, which then replaces the
+  /// live factor (a free refactorization for the next resolve()).
   void extract_solution(SolveResult& res);
   double phase1_infeasibility() const;
   void prepare_phase1_costs(std::vector<double>& costs) const;
@@ -290,9 +260,7 @@ class Simplex {
   std::vector<int> basis_;          // row position -> internal column index
   std::vector<int> basis_pos_;      // internal column index -> row pos or -1
   std::vector<double> xb_;          // basic values by row position
-  std::vector<double> binv_;        // Dense mode: B^-1, column-major
-  BasisFactor factor_;              // SparseLU mode: LU + eta file
-  long dense_refactorizations_ = 0;
+  BasisFactor factor_;              // sparse LU + eta file of the basis
   std::vector<int> candidates_;     // partial-pricing candidate columns
   std::vector<double> weight_;      // steepest-edge reference weights
   std::vector<std::pair<double, int>> scratch_eligible_;  // refresh scratch

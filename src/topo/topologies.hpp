@@ -42,9 +42,8 @@ net::SubstrateNetwork erdos_renyi(Rng& rng, int nodes = 100, int links = 150);
 /// the ingress datacenters workloads arrive at).  Node/link attributes
 /// follow the Table II tier parameters, so utilization calibration and the
 /// application mix work unchanged.  k=8 gives 208 nodes / 384 links —
-/// several times the paper's largest topology — which is where the sparse
-/// basis factorization must beat the dense inverse (bench/perf_smoke
-/// "scale" cases).
+/// several times the paper's largest topology — the master sizes the sparse
+/// basis factorization is built for (bench/perf_smoke "scale" cases).
 net::SubstrateNetwork fat_tree(Rng& rng, int k);
 
 /// Synthetic ISP-scale topology shaped like the CAIDA source model that

@@ -6,14 +6,11 @@
 // failure intensity (node/link outages + rescales, sometimes hitting edge
 // nodes), correlated shared-risk groups, scheduled maintenance, repair
 // policy (batched / per-request / drop), and mid-run re-planning with the
-// failure-burst trigger and capacity-aware masters — and asserts the two
-// determinism contracts end to end:
-//
-//   * bit-identical SimMetrics at OLIVE_THREADS-equivalent pricing thread
-//     counts {1, 4} (the engine's install slots are policy-fixed and
-//     failure handling is trace-driven, so threading must be invisible);
-//   * Dense vs SparseLU basis equality: the same runs driven by the dense
-//     reference basis produce identical costs and counters.
+// failure-burst trigger and capacity-aware masters — and asserts the
+// determinism contract end to end: bit-identical SimMetrics at
+// OLIVE_THREADS-equivalent pricing thread counts {1, 4} (the engine's
+// install slots are policy-fixed and failure handling is trace-driven, so
+// threading must be invisible).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +20,6 @@
 #include "core/scenario.hpp"
 #include "core/simulator.hpp"
 #include "engine/engine.hpp"
-#include "lp/simplex.hpp"
 #include "util/rng.hpp"
 
 namespace olive {
@@ -76,15 +72,13 @@ FuzzShape shape_from_seed(std::uint64_t seed) {
 }
 
 /// One full engine-driven run of the shape at the given pricing thread
-/// count and master-LP basis.  `opt` selects the OLIVE admission path —
-/// the fast-path differential below runs the same shape with the cache /
-/// speculation machinery on and off.
+/// count.  `opt` selects the OLIVE admission path — the fast-path
+/// differential below runs the same shape with the cache / speculation
+/// machinery on and off.
 core::SimMetrics run_shape(const FuzzShape& shape, int threads,
-                           lp::BasisKind basis,
                            core::OliveOptions opt = {}) {
   core::ScenarioConfig cfg = shape.cfg;
   cfg.plan.threads = threads;
-  cfg.plan.lp.basis = basis;
   const core::Scenario sc = core::build_scenario(cfg);
 
   engine::EngineConfig ecfg;
@@ -135,12 +129,10 @@ class FailureFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FailureFuzzTest, BitIdenticalAcrossThreadCounts) {
   const FuzzShape shape = shape_from_seed(GetParam());
-  const core::SimMetrics serial =
-      run_shape(shape, 1, lp::BasisKind::SparseLU);
+  const core::SimMetrics serial = run_shape(shape, 1);
   EXPECT_GT(serial.offered, 0);
   EXPECT_GT(serial.failures, 0);
-  const core::SimMetrics parallel =
-      run_shape(shape, 4, lp::BasisKind::SparseLU);
+  const core::SimMetrics parallel = run_shape(shape, 4);
   expect_identical(serial, parallel,
                    "threads 1 vs 4, seed " + std::to_string(GetParam()));
 }
@@ -158,29 +150,12 @@ TEST_P(FailureFuzzTest, FastPathCacheBitIdentical) {
   cache_only.spec_threads = 1;
   core::OliveOptions spec4;
   spec4.spec_threads = 4;
-  const core::SimMetrics base =
-      run_shape(shape, 1, lp::BasisKind::SparseLU, off);
+  const core::SimMetrics base = run_shape(shape, 1, off);
   EXPECT_GT(base.offered, 0);
-  expect_identical(base,
-                   run_shape(shape, 1, lp::BasisKind::SparseLU, cache_only),
+  expect_identical(base, run_shape(shape, 1, cache_only),
                    "fastpath off vs cache, seed " + std::to_string(GetParam()));
-  expect_identical(base, run_shape(shape, 1, lp::BasisKind::SparseLU, spec4),
+  expect_identical(base, run_shape(shape, 1, spec4),
                    "fastpath off vs spec4, seed " + std::to_string(GetParam()));
-}
-
-TEST_P(FailureFuzzTest, DenseAndSparseLuCostsMatch) {
-  // Cold solves are bitwise identical across basis modes, so the whole
-  // failure run must be too.  Warm-started re-plan resolves only promise
-  // equal *objectives* (the two modes may pick different vertices of the
-  // same optimal face — see lp_differential_test WarmStartedResolvesAgree),
-  // so the basis differential pins the replan-off regime.
-  FuzzShape shape = shape_from_seed(GetParam());
-  shape.replan = false;
-  const core::SimMetrics sparse =
-      run_shape(shape, 1, lp::BasisKind::SparseLU);
-  const core::SimMetrics dense = run_shape(shape, 1, lp::BasisKind::Dense);
-  expect_identical(sparse, dense,
-                   "sparse vs dense, seed " + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FailureFuzzTest,

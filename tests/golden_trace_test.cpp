@@ -147,35 +147,5 @@ TEST(GoldenTrace, ColdStartsReproduceTheSameWindowWithMorePivots) {
   EXPECT_EQ(m.plan_simplex_iterations, 336);
 }
 
-TEST(GoldenTrace, PricingModesReproduceTheSameWindow) {
-  // Reduced-cost ties are broken by column fingerprint in every pricing
-  // mode, so the full-Dantzig and candidate-list paths walk the same
-  // per-slot rounding trajectory and the golden numbers pin both.
-  for (const bool partial : {false, true}) {
-    const GoldenScenario g = golden_scenario();
-    GoldenConfig so = golden_config();
-    so.plan.lp.partial_pricing = partial;
-    so.plan.lp.partial_pricing_min_cols = 0;  // engage the list everywhere
-    so.plan.lp.candidate_list_size = 8;
-    const SimMetrics m = run_golden(g, so);
-    expect_golden_outcomes(m);
-  }
-}
-
-TEST(GoldenTrace, BasisModesReproduceTheSameWindow) {
-  // The Dense reference basis must reproduce the golden outcomes and costs
-  // (the differential suite in tests/lp_differential_test.cpp checks
-  // bit-identity of the LP layer).  Pivot counts are deliberately not
-  // pinned across basis modes: the two engines produce last-ulp-different
-  // FTRAN images, so a degenerate ratio-test tie may resolve differently
-  // on another compiler/arch without changing any outcome.
-  const GoldenScenario g = golden_scenario();
-  GoldenConfig so = golden_config();
-  so.plan.lp.basis = lp::BasisKind::Dense;
-  const SimMetrics m = run_golden(g, so);
-  expect_golden_outcomes(m);
-  EXPECT_EQ(m.plan_warm_start_hits, 9);
-}
-
 }  // namespace
 }  // namespace olive::core

@@ -312,10 +312,9 @@ TEST(BasisFactor, RefactorizationTriggers) {
 }
 
 TEST(SimplexFactor, EtaReplayAfterResolveMatchesFreshSolve) {
-  // Column generation in SparseLU mode: add_column + resolve() (which runs
-  // on the eta-updated factor) must reach the same optimum as a fresh
-  // solve of the final model, and the factor stats must reflect the eta
-  // lifecycle.
+  // Column generation: add_column + resolve() (which runs on the
+  // eta-updated factor) must reach the same optimum as a fresh solve of the
+  // final model, and the factor stats must reflect the eta lifecycle.
   Rng rng(stable_hash("factor-replay"));
   for (int draw = 0; draw < 5; ++draw) {
     Model m;
@@ -326,9 +325,7 @@ TEST(SimplexFactor, EtaReplayAfterResolveMatchesFreshSolve) {
       for (int k = 0; k < 5; ++k)
         m.add_entry(row, static_cast<int>(rng.below(40)), rng.uniform(0.1, 1.2));
     }
-    SimplexOptions opts;
-    opts.basis = BasisKind::SparseLU;
-    Simplex incremental(m, opts);
+    Simplex incremental(m);
     auto res = incremental.solve();
     ASSERT_EQ(res.status, Status::Optimal);
 
@@ -345,7 +342,7 @@ TEST(SimplexFactor, EtaReplayAfterResolveMatchesFreshSolve) {
       }
       res = incremental.resolve();
       ASSERT_EQ(res.status, Status::Optimal);
-      const auto fresh = solve_lp(m, opts);
+      const auto fresh = solve_lp(m);
       ASSERT_EQ(fresh.status, Status::Optimal);
       EXPECT_NEAR(res.objective, fresh.objective,
                   1e-7 * (1 + std::abs(fresh.objective)))

@@ -1,11 +1,9 @@
 // Property-based tests for the LP substrate.
 //
 // For every randomly generated LP that the simplex declares Optimal we check
-// a full KKT certificate: primal feasibility, dual sign conditions per row
-// sense, and reduced-cost sign conditions per variable bound status.  This
-// proves optimality independently of the solver's internal state.  MIP
-// results are cross-checked against exhaustive enumeration of all integer
-// assignments on small instances.
+// a full KKT certificate (lp_certificate.hpp).  MIP results are
+// cross-checked against exhaustive enumeration of all integer assignments
+// on small instances.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,95 +12,11 @@
 #include "lp/mip.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "lp_certificate.hpp"
 #include "util/rng.hpp"
 
 namespace olive::lp {
 namespace {
-
-constexpr double kTol = 1e-6;
-
-void expect_kkt_certificate(const Model& m, const SolveResult& res) {
-  ASSERT_EQ(res.status, Status::Optimal);
-  // Primal feasibility.
-  EXPECT_LE(m.max_violation(res.x), kTol);
-  EXPECT_NEAR(m.objective_value(res.x), res.objective, kTol * 10);
-
-  // Row dual signs: LE rows need y <= 0, GE rows y >= 0 (EQ free), plus
-  // complementary slackness (nonzero dual only on binding rows).
-  std::vector<double> activity(m.num_rows(), 0.0);
-  for (int c = 0; c < m.num_cols(); ++c)
-    for (const auto& [r, v] : m.col(c)) activity[r] += v * res.x[c];
-  for (int r = 0; r < m.num_rows(); ++r) {
-    const double y = res.duals[r];
-    switch (m.row_sense(r)) {
-      case Sense::LE:
-        EXPECT_LE(y, kTol) << "row " << r;
-        if (y < -kTol) {
-          EXPECT_NEAR(activity[r], m.row_rhs(r), kTol) << "row " << r;
-        }
-        break;
-      case Sense::GE:
-        EXPECT_GE(y, -kTol) << "row " << r;
-        if (y > kTol) {
-          EXPECT_NEAR(activity[r], m.row_rhs(r), kTol) << "row " << r;
-        }
-        break;
-      case Sense::EQ:
-        break;
-    }
-  }
-
-  // Reduced-cost conditions per variable.
-  for (int c = 0; c < m.num_cols(); ++c) {
-    double d = m.col_cost(c);
-    for (const auto& [r, v] : m.col(c)) d -= res.duals[r] * v;
-    const double x = res.x[c];
-    const bool at_lower = x <= m.col_lo(c) + kTol;
-    const bool at_upper = x >= m.col_up(c) - kTol;
-    if (at_lower && at_upper) continue;  // fixed/degenerate: any sign fine
-    if (at_lower) {
-      EXPECT_GE(d, -kTol) << "col " << c;
-    } else if (at_upper) {
-      EXPECT_LE(d, kTol) << "col " << c;
-    } else {
-      EXPECT_NEAR(d, 0.0, kTol) << "col " << c;
-    }
-  }
-}
-
-/// Builds a random LP guaranteed feasible: constraints are generated around
-/// a known interior point.
-Model random_feasible_lp(Rng& rng, int n_cols, int n_rows) {
-  Model m;
-  std::vector<double> point(n_cols);
-  for (int c = 0; c < n_cols; ++c) {
-    const double lo = rng.uniform(-5.0, 0.0);
-    const double up = lo + rng.uniform(0.5, 10.0);
-    point[c] = rng.uniform(lo, up);
-    m.add_col(lo, up, rng.uniform(-10.0, 10.0));
-  }
-  for (int r = 0; r < n_rows; ++r) {
-    double act = 0;
-    std::vector<std::pair<int, double>> entries;
-    for (int c = 0; c < n_cols; ++c) {
-      if (!rng.chance(0.6)) continue;
-      const double coeff = rng.uniform(-4.0, 4.0);
-      entries.emplace_back(c, coeff);
-      act += coeff * point[c];
-    }
-    const int kind = static_cast<int>(rng.below(3));
-    int row;
-    if (kind == 0) {
-      row = m.add_row(Sense::LE, act + rng.uniform(0.0, 5.0));
-    } else if (kind == 1) {
-      row = m.add_row(Sense::GE, act - rng.uniform(0.0, 5.0));
-    } else {
-      row = m.add_row(Sense::EQ, act);
-    }
-    for (const auto& [c, v] : entries) m.add_entry(row, c, v);
-  }
-  return m;
-}
 
 class RandomLpSweep : public ::testing::TestWithParam<int> {};
 
