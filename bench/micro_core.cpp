@@ -1,9 +1,14 @@
 // Micro-benchmarks of the core primitives (google-benchmark): the tree-DP
 // pricing oracle, GREEDYEMBED's one-Dijkstra search (literal and bounded
-// CollocatedSearch), per-request OLIVE
-// embedding, and full PLAN-VNE solves per topology — the numbers behind the
-// paper's "1000 requests per second" scalability claim (§IV-B Runtime).
+// CollocatedSearch), per-request OLIVE decisions on Iris and FatTree8, and
+// full PLAN-VNE solves per topology — the numbers behind the paper's "1000
+// requests per second" scalability claim (§IV-B Runtime).
 #include <benchmark/benchmark.h>
+
+#include <functional>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "core/embedder.hpp"
 #include "core/olive.hpp"
@@ -75,24 +80,40 @@ void BM_CollocatedSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_CollocatedSearch)->Arg(0)->Arg(1);
 
+// One OLIVE decision per iteration, after the departures due by its
+// arrival, so the mix (planned, borrowed, preempting, greedy, rejected) is
+// a streamed run's rather than a filling substrate's.  /0 Iris, /1 FatTree8.
 void BM_OlivePerRequest(benchmark::State& state) {
-  const auto sc = make_scenario("Iris");
+  const char* names[] = {"Iris", "FatTree8"};
+  const auto sc = make_scenario(names[state.range(0)]);
   core::OliveEmbedder algo(sc.substrate, sc.apps, sc.plan);
+  using Pending = std::pair<int, std::size_t>;  // (end slot, request index)
+  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> ending;
   std::size_t i = 0;
-  algo.reset();
+  double preempted = 0;
   for (auto _ : state) {
     if (i >= sc.online.size()) {
       state.PauseTiming();
       algo.reset();
+      ending = {};
       i = 0;
       state.ResumeTiming();
     }
-    const auto out = algo.embed(sc.online[i++]);
+    const auto& r = sc.online[i];
+    for (; !ending.empty() && ending.top().first <= r.arrival; ending.pop())
+      algo.depart(sc.online[ending.top().second]);
+    const auto out = algo.embed(r);
     benchmark::DoNotOptimize(out.kind);
+    if (out.accepted()) ending.emplace(r.arrival + r.duration, i);
+    preempted += static_cast<double>(out.preempted_ids.size());
+    ++i;
   }
   state.SetItemsProcessed(state.iterations());
+  state.counters["preempted"] =
+      benchmark::Counter(preempted, benchmark::Counter::kAvgIterations);
+  state.SetLabel(names[state.range(0)]);
 }
-BENCHMARK(BM_OlivePerRequest);
+BENCHMARK(BM_OlivePerRequest)->Arg(0)->Arg(1);
 
 void BM_PlanVneSolve(benchmark::State& state) {
   const char* names[] = {"Iris", "CittaStudi", "5GEN", "100N150E"};

@@ -46,11 +46,10 @@ struct EmbedOutcome {
   OutcomeKind kind = OutcomeKind::Rejected;
   /// Resource cost per demand unit of the chosen embedding (accepted only).
   double unit_cost = 0;
-  /// Per-unit-demand element usage (accepted only).
-  Usage usage;
-  /// The chosen embedding itself (accepted only) — the substrate-dynamics
-  /// layer needs it to repair allocations broken by failures.
-  net::Embedding embedding;
+  /// The chosen embedding and its per-unit-demand usage, shared with the
+  /// embedder's own ledger (null on a reject).  The substrate-dynamics
+  /// layer keeps it to repair allocations broken by failures.
+  PlacementPtr placement;
   /// Requests preempted to make room (their resources are already released).
   std::vector<workload::RequestId> preempted_ids;
 

@@ -29,6 +29,17 @@ void FullGreedyEmbedder::reset() {
   active_.clear();
 }
 
+EmbedOutcome FullGreedyEmbedder::commit(const workload::Request& r,
+                                        PlacementPtr placement) {
+  load_.apply(placement->usage, r.demand);
+  active_.emplace(r.id, Active{placement, r.demand});
+  EmbedOutcome out;
+  out.kind = OutcomeKind::Greedy;
+  out.unit_cost = net::usage_cost(substrate_, placement->usage);
+  out.placement = std::move(placement);
+  return out;
+}
+
 EmbedOutcome FullGreedyEmbedder::embed(const workload::Request& r) {
   OLIVE_REQUIRE(r.app >= 0 && r.app < static_cast<int>(apps_.size()),
                 "request app out of range");
@@ -41,16 +52,9 @@ EmbedOutcome FullGreedyEmbedder::embed(const workload::Request& r) {
   // small requests) — identical results, ~100x less time.
   if (auto dp = capacitated_min_cost_tree_embedding(substrate_, vn, r.ingress,
                                                     r.demand, load_)) {
-    EmbedOutcome out;
-    out.kind = OutcomeKind::Greedy;
-    out.usage = net::unit_usage(substrate_, vn, *dp);
-    out.unit_cost = net::usage_cost(substrate_, out.usage);
-    out.embedding = *dp;
-    if (load_.fits(out.usage, r.demand)) {
-      load_.apply(out.usage, r.demand);
-      active_.emplace(r.id, Active{out.usage, *dp, r.demand});
-      return out;
-    }
+    PlacementPtr placement = make_placement(substrate_, vn, std::move(*dp));
+    if (load_.fits(placement->usage, r.demand))
+      return commit(r, std::move(placement));
   } else {
     // The filter is a necessary condition: no individually-feasible
     // embedding exists, hence no jointly-feasible one either.
@@ -199,21 +203,15 @@ EmbedOutcome FullGreedyEmbedder::embed(const workload::Request& r) {
   }
   OLIVE_ASSERT(net::is_valid_embedding(substrate_, vn, e));
 
-  EmbedOutcome out;
-  out.kind = OutcomeKind::Greedy;
-  out.usage = net::unit_usage(substrate_, vn, e);
-  out.unit_cost = net::usage_cost(substrate_, out.usage);
-  out.embedding = e;
-  if (!load_.fits(out.usage, d)) return EmbedOutcome{};  // tolerance edge
-  load_.apply(out.usage, d);
-  active_.emplace(r.id, Active{out.usage, e, d});
-  return out;
+  PlacementPtr placement = make_placement(substrate_, vn, std::move(e));
+  if (!load_.fits(placement->usage, d)) return {};  // tolerance edge
+  return commit(r, std::move(placement));
 }
 
 void FullGreedyEmbedder::depart(const workload::Request& r) {
   const auto it = active_.find(r.id);
   if (it == active_.end()) return;
-  load_.release(it->second.usage, it->second.demand);
+  load_.release(it->second.placement->usage, it->second.demand);
   active_.erase(it);
 }
 
@@ -225,16 +223,10 @@ bool FullGreedyEmbedder::set_element_capacity(int element, double capacity) {
 std::optional<EmbedOutcome> FullGreedyEmbedder::adopt(
     const workload::Request& r, const net::Embedding& e) {
   OLIVE_REQUIRE(!active_.contains(r.id), "adopt of a still-active request");
-  const net::VirtualNetwork& vn = apps_[r.app].topology;
-  EmbedOutcome out;
-  out.kind = OutcomeKind::Greedy;
-  out.usage = net::unit_usage(substrate_, vn, e);
-  out.unit_cost = net::usage_cost(substrate_, out.usage);
-  out.embedding = e;
-  if (!load_.fits(out.usage, r.demand)) return std::nullopt;
-  load_.apply(out.usage, r.demand);
-  active_.emplace(r.id, Active{out.usage, e, r.demand});
-  return out;
+  PlacementPtr placement =
+      make_placement(substrate_, apps_[r.app].topology, e);
+  if (!load_.fits(placement->usage, r.demand)) return std::nullopt;
+  return commit(r, std::move(placement));
 }
 
 }  // namespace olive::core

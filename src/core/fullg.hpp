@@ -39,10 +39,12 @@ class FullGreedyEmbedder final : public OnlineEmbedder {
 
  private:
   struct Active {
-    Usage usage;
-    net::Embedding embedding;
+    PlacementPtr placement;
     double demand = 0;
   };
+
+  /// Admits r under `placement`, which must fit the residuals.
+  EmbedOutcome commit(const workload::Request& r, PlacementPtr placement);
 
   const net::SubstrateNetwork& substrate_;
   const std::vector<net::Application>& apps_;

@@ -29,7 +29,7 @@ OliveEmbedder::OliveEmbedder(const net::SubstrateNetwork& s,
                              Plan plan, std::string name, OliveOptions options)
     : substrate_(s),
       apps_(apps),
-      plan_(std::move(plan)),
+      plan_(std::make_shared<const Plan>(std::move(plan))),
       name_(std::move(name)),
       options_(options),
       load_(s),
@@ -38,20 +38,21 @@ OliveEmbedder::OliveEmbedder(const net::SubstrateNetwork& s,
 }
 
 bool OliveEmbedder::install_plan(Plan plan) {
-  plan_ = std::move(plan);
-  plan_used_.assign(plan_.num_classes(), {});
-  for (int c = 0; c < plan_.num_classes(); ++c)
-    plan_used_[c].assign(plan_.cls(c).columns.size(), 0.0);
+  plan_ = std::make_shared<const Plan>(std::move(plan));
+  plan_used_.assign(plan_->num_classes(), {});
+  for (int c = 0; c < plan_->num_classes(); ++c)
+    plan_used_[c].assign(plan_->cls(c).columns.size(), 0.0);
   rebuild_class_max();
   // Active planned allocations lose their guaranteed status under the new
-  // plan: they keep resources but become preemptible borrowers — and thus
-  // join the preempt candidate index.
+  // plan: they keep resources (and their placements, which keep the old
+  // plan alive) but become preemptible borrowers — and thus join the
+  // preempt candidate index.
   for (auto& [id, a] : active_) {
     if (!a.planned) continue;
     a.planned = false;
     a.cls = a.column = -1;
-    if (indexing()) index_add(id, a);
   }
+  rebuild_index();
   // The speculative batch (if any) was computed against the old plan.
   spec_valid_ = false;
   return true;
@@ -61,9 +62,9 @@ void OliveEmbedder::reset() {
   load_.reset();
   active_.clear();
   admission_counter_ = 0;
-  plan_used_.assign(plan_.num_classes(), {});
-  for (int c = 0; c < plan_.num_classes(); ++c)
-    plan_used_[c].assign(plan_.cls(c).columns.size(), 0.0);
+  plan_used_.assign(plan_->num_classes(), {});
+  for (int c = 0; c < plan_->num_classes(); ++c)
+    plan_used_[c].assign(plan_->cls(c).columns.size(), 0.0);
   rebuild_class_max();
   elem_actives_.assign(substrate_.element_count(), {});
   greedy_memo_.clear();
@@ -74,12 +75,12 @@ void OliveEmbedder::reset() {
 }
 
 double OliveEmbedder::plan_residual(int cls, int column) const {
-  return plan_.cls(cls).columns.at(column).planned_demand -
+  return plan_->cls(cls).columns.at(column).planned_demand -
          plan_used_.at(cls).at(column);
 }
 
 void OliveEmbedder::refresh_class_max(int cls) {
-  const auto& cols = plan_.cls(cls).columns;
+  const auto& cols = plan_->cls(cls).columns;
   double mx = -std::numeric_limits<double>::infinity();
   for (std::size_t k = 0; k < cols.size(); ++k)
     mx = std::max(mx, cols[k].planned_demand - plan_used_[cls][k]);
@@ -87,59 +88,59 @@ void OliveEmbedder::refresh_class_max(int cls) {
 }
 
 void OliveEmbedder::rebuild_class_max() {
-  class_max_.assign(plan_.num_classes(), 0.0);
-  for (int c = 0; c < plan_.num_classes(); ++c) refresh_class_max(c);
+  class_max_.assign(plan_->num_classes(), 0.0);
+  for (int c = 0; c < plan_->num_classes(); ++c) refresh_class_max(c);
 }
 
-void OliveEmbedder::index_add(workload::RequestId id, Active& a) {
-  a.elem_pos.resize(a.usage.size());
-  for (std::size_t i = 0; i < a.usage.size(); ++i) {
-    auto& bucket = elem_actives_[a.usage[i].first];
-    a.elem_pos[i] = static_cast<int>(bucket.size());
-    bucket.push_back({a.demand, a.order, id});
+// Usage vectors aggregate per element, so an allocation has at most one
+// entry per bucket, found by its unique key.
+void OliveEmbedder::index_add(workload::RequestId id, const Active& a) {
+  const IndexEntry entry = index_entry(id, a);
+  for (const auto& [elem, amount] : a.placement->usage) {
+    auto& bucket = elem_actives_[elem];
+    bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), entry,
+                                   victim_before),
+                  entry);
   }
 }
 
-void OliveEmbedder::index_remove(workload::RequestId id, Active& a) {
-  for (std::size_t i = 0; i < a.usage.size(); ++i) {
-    auto& bucket = elem_actives_[a.usage[i].first];
-    const int pos = a.elem_pos[i];
-    OLIVE_ASSERT(bucket.at(pos).id == id);
-    const workload::RequestId moved = bucket.back().id;
-    bucket[pos] = bucket.back();
-    bucket.pop_back();
-    if (moved != id) {
-      // Backpatch the moved allocation's recorded position for this element
-      // (usage vectors aggregate per element, so the entry is unique).
-      Active& m = active_.at(moved);
-      for (std::size_t j = 0; j < m.usage.size(); ++j) {
-        if (m.usage[j].first == a.usage[i].first) {
-          m.elem_pos[j] = pos;
-          break;
-        }
-      }
-    }
+void OliveEmbedder::index_remove(workload::RequestId id, const Active& a) {
+  const IndexEntry entry = index_entry(id, a);
+  for (const auto& [elem, amount] : a.placement->usage) {
+    auto& bucket = elem_actives_[elem];
+    const auto it =
+        std::lower_bound(bucket.begin(), bucket.end(), entry, victim_before);
+    OLIVE_ASSERT(it != bucket.end() && it->id == id);
+    bucket.erase(it);
   }
-  a.elem_pos.clear();
+}
+
+// Appends every entry in ledger order, then sorts each bucket once: the
+// victim order is strict, so the layout does not depend on unordered_map
+// iteration.
+void OliveEmbedder::rebuild_index() {
+  for (auto& bucket : elem_actives_) bucket.clear();
+  if (!indexing()) return;
+  for (const auto& [id, a] : active_) {
+    if (a.planned) continue;
+    const IndexEntry entry = index_entry(id, a);
+    for (const auto& [elem, amount] : a.placement->usage)
+      elem_actives_[elem].push_back(entry);
+  }
+  for (auto& bucket : elem_actives_)
+    std::sort(bucket.begin(), bucket.end(), victim_before);
 }
 
 EmbedOutcome OliveEmbedder::allocate(const workload::Request& r,
-                                     net::Embedding e, OutcomeKind kind,
+                                     PlacementPtr placement, OutcomeKind kind,
                                      int cls, int column,
                                      std::vector<workload::RequestId> preempted,
-                                     Usage usage, double unit_cost) {
-  EmbedOutcome out;
-  out.kind = kind;
-  out.usage = std::move(usage);
-  out.unit_cost = unit_cost;
-  out.embedding = std::move(e);
-  out.preempted_ids = std::move(preempted);
-  OLIVE_ASSERT(load_.fits(out.usage, r.demand));
-  load_.apply(out.usage, r.demand);
+                                     double unit_cost) {
+  OLIVE_ASSERT(load_.fits(placement->usage, r.demand));
+  load_.apply(placement->usage, r.demand);
 
   Active a;
-  a.usage = out.usage;  // the outcome and the ledger each keep a copy
-  a.embedding = out.embedding;
+  a.placement = placement;  // shared by the outcome and the ledger
   a.app = r.app;
   a.demand = r.demand;
   a.planned = (kind == OutcomeKind::Planned);
@@ -153,6 +154,12 @@ EmbedOutcome OliveEmbedder::allocate(const workload::Request& r,
   const auto [it, inserted] = active_.emplace(r.id, std::move(a));
   OLIVE_ASSERT(inserted);
   if (!it->second.planned && indexing()) index_add(r.id, it->second);
+
+  EmbedOutcome out;
+  out.kind = kind;
+  out.unit_cost = unit_cost;
+  out.placement = std::move(placement);
+  out.preempted_ids = std::move(preempted);
   return out;
 }
 
@@ -177,13 +184,14 @@ std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
   // victim order nor this trade-off; see DESIGN.md.)
   enum class Scan { More, Covered, Churn };
   const double cap = demand * (1 + 1e-9);
-  std::vector<workload::RequestId> victims;
+  victims_.clear();
   double victim_demand = 0;
-  const auto offer = [&](workload::RequestId id, const Active& a) {
+  const auto offer = [&](workload::RequestId id, const Usage& vusage,
+                         double vdemand) {
     bool helps = false;
     for (const auto& [elem, need] : deficit_) {
       if (need <= 1e-9) continue;
-      for (const auto& [ue, amt] : a.usage) {
+      for (const auto& [ue, amt] : vusage) {
         if (ue == elem) {
           helps = true;
           break;
@@ -192,12 +200,12 @@ std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
       if (helps) break;
     }
     if (!helps) return Scan::More;
-    victim_demand += a.demand;
+    victim_demand += vdemand;
     if (victim_demand > cap) return Scan::Churn;
-    victims.push_back(id);
+    victims_.push_back(id);
     for (auto& [elem, need] : deficit_) {
-      for (const auto& [ue, amt] : a.usage)
-        if (ue == elem) need -= amt * a.demand;
+      for (const auto& [ue, amt] : vusage)
+        if (ue == elem) need -= amt * vdemand;
     }
     const bool covered = std::all_of(
         deficit_.begin(), deficit_.end(),
@@ -207,31 +215,32 @@ std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
 
   Scan scan = Scan::More;
   if (indexing()) {
-    // Fast path (docs/olive-fastpath.md §2): gather the index entries of
-    // the deficient elements, dropping any candidate whose own demand is
-    // over the churn cap — one that helps would trip the guard whatever
-    // came before it, and every later candidate is at least as large, so
-    // the scan ends in nullopt exactly as if the candidates ran out.  The
-    // rest pop lazily from a heap in the same strict total order a full
-    // sort gives; an allocation listed under several deficient elements
-    // pops its copies back to back, and all but the first are skipped.
-    victim_heap_.clear();
-    for (const auto& d : deficit_)
-      for (const IndexEntry& e : elem_actives_[d.first])
-        if (e.demand <= cap) victim_heap_.push_back(e);
-    const auto later = [](const IndexEntry& x, const IndexEntry& y) {
-      if (x.demand != y.demand) return x.demand > y.demand;
-      return x.order < y.order;
-    };
-    std::make_heap(victim_heap_.begin(), victim_heap_.end(), later);
+    // Fast path (docs/olive-fastpath.md §2): merge the deficient elements'
+    // buckets, each sorted by victim_before, lazily in that order — the
+    // order a full sort of the candidates gives.  An allocation listed
+    // under several deficient elements comes back once per element, its
+    // copies back to back (they share one key), and all but the first are
+    // skipped.  The merge stops at the first entry over the churn cap: one
+    // that helps would trip the guard whatever came before it, and every
+    // later candidate is at least as large, so the scan ends in nullopt
+    // exactly as if the candidates ran out.
+    runs_.clear();
+    for (const auto& d : deficit_) {
+      const auto& bucket = elem_actives_[d.first];
+      runs_.push_back({bucket.data(), bucket.data() + bucket.size()});
+    }
     std::int64_t last_order = -1;  // orders are unique and non-negative
-    while (scan == Scan::More && !victim_heap_.empty()) {
-      std::pop_heap(victim_heap_.begin(), victim_heap_.end(), later);
-      const IndexEntry e = victim_heap_.back();
-      victim_heap_.pop_back();
+    while (scan == Scan::More) {
+      Run* first = nullptr;
+      for (Run& run : runs_)
+        if (run.head != run.end &&
+            (first == nullptr || victim_before(*run.head, *first->head)))
+          first = &run;
+      if (first == nullptr || first->head->demand > cap) break;
+      const IndexEntry& e = *first->head++;
       if (e.order == last_order) continue;
       last_order = e.order;
-      scan = offer(e.id, active_.at(e.id));
+      scan = offer(e.id, e.placement->usage, e.demand);
     }
   } else {
     // Specification: scan the whole active set, sort by (demand, order) —
@@ -240,7 +249,7 @@ std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
     const auto touches_deficit = [&](const Active& a) {
       for (const auto& [elem, need] : deficit_) {
         if (need <= 0) continue;
-        for (const auto& [ue, amt] : a.usage) {
+        for (const auto& [ue, amt] : a.placement->usage) {
           (void)amt;
           if (ue == elem) return true;
         }
@@ -257,7 +266,7 @@ std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
                 return x.second->order > y.second->order;
               });
     for (const auto& [id, a] : candidates_) {
-      scan = offer(id, *a);
+      scan = offer(id, a->placement->usage, a->demand);
       if (scan != Scan::More) break;
     }
   }
@@ -267,13 +276,13 @@ std::optional<std::vector<workload::RequestId>> OliveEmbedder::preempt(
   // Commit: release the victims' resources and drop them.  release() bumps
   // the grow-epoch, which invalidates the greedy memos and any in-flight
   // speculative batch.
-  for (const workload::RequestId vid : victims) {
-    Active& victim = active_.at(vid);
-    load_.release(victim.usage, victim.demand);
-    if (indexing()) index_remove(vid, victim);
-    active_.erase(vid);
+  for (const workload::RequestId vid : victims_) {
+    const auto it = active_.find(vid);
+    load_.release(it->second.placement->usage, it->second.demand);
+    if (indexing()) index_remove(vid, it->second);
+    active_.erase(it);
   }
-  return victims;
+  return victims_;
 }
 
 void OliveEmbedder::hint_arrivals(const workload::Request* batch,
@@ -306,9 +315,9 @@ void OliveEmbedder::speculate(const workload::Request& r,
     out.kind = Kind::Serial;  // let embed()'s own REQUIREs fire
     return;
   }
-  const int cls = plan_.class_index(r.app, r.ingress);
+  const int cls = plan_->class_index(r.app, r.ingress);
   if (cls >= 0) {
-    const PlanClass& pc = plan_.cls(cls);
+    const PlanClass& pc = plan_->cls(cls);
     const double cmax = class_max_[cls];
     if (cmax >= r.demand - 1e-9) {
       for (std::size_t k = 0; k < pc.columns.size(); ++k) {
@@ -346,13 +355,13 @@ void OliveEmbedder::speculate(const workload::Request& r,
     if (it != greedy_memo_.end()) {
       const GreedyMemo& m = it->second;
       if (m.epoch == load_.grow_epoch() && r.demand >= m.demand) {
-        if (!m.feasible) {
+        if (m.placement == nullptr) {
           out.kind = Kind::Reject;
           return;
         }
-        if (collocated_.still_fits(r.app, m.embedding, r.demand, load_)) {
-          out.usage = m.usage;
-          out.embedding = m.embedding;
+        if (collocated_.still_fits(r.app, m.placement->embedding, r.demand,
+                                   load_)) {
+          out.placement = m.placement;
           out.unit_cost = m.unit_cost;
           out.kind = Kind::Greedy;
           return;
@@ -360,9 +369,9 @@ void OliveEmbedder::speculate(const workload::Request& r,
       }
     }
     if (auto emb = collocated_.embed(r.app, r.ingress, r.demand, load_)) {
-      out.usage = net::unit_usage(substrate_, apps_[r.app].topology, *emb);
-      out.unit_cost = net::usage_cost(substrate_, out.usage);
-      out.embedding = std::move(*emb);
+      out.placement =
+          make_placement(substrate_, apps_[r.app].topology, std::move(*emb));
+      out.unit_cost = net::usage_cost(substrate_, out.placement->usage);
       out.kind = Kind::Greedy;
       return;
     }
@@ -406,40 +415,38 @@ EmbedOutcome OliveEmbedder::embed(const workload::Request& r) {
         ++stats_.spec_commits;
         return EmbedOutcome{};
       case Kind::Planned: {
-        const PlanColumn& col = plan_.cls(d->cls).columns[d->column];
+        const PlanColumn& col = plan_->cls(d->cls).columns[d->column];
         if (plan_residual(d->cls, d->column) >= r.demand - 1e-9 &&
             load_.fits(col.usage, r.demand)) {
           ++stats_.spec_commits;
-          return allocate(r, col.embedding, OutcomeKind::Planned, d->cls,
-                          d->column, {}, col.usage, col.unit_cost);
+          return allocate(r, column_placement(d->cls, d->column),
+                          OutcomeKind::Planned, d->cls, d->column, {},
+                          col.unit_cost);
         }
         ++stats_.spec_misses;
         break;
       }
       case Kind::Borrowed: {
-        const PlanColumn& col = plan_.cls(d->cls).columns[d->column];
+        const PlanColumn& col = plan_->cls(d->cls).columns[d->column];
         if (plan_residual(d->cls, d->column) > 1e-9 &&
             load_.fits(col.usage, r.demand)) {
           ++stats_.spec_commits;
-          return allocate(r, col.embedding, OutcomeKind::Borrowed, d->cls,
-                          d->column, {}, col.usage, col.unit_cost);
+          return allocate(r, column_placement(d->cls, d->column),
+                          OutcomeKind::Borrowed, d->cls, d->column, {},
+                          col.unit_cost);
         }
         ++stats_.spec_misses;
         break;
       }
       case Kind::Greedy: {
-        if (collocated_.still_fits(r.app, d->embedding, r.demand, load_)) {
+        if (collocated_.still_fits(r.app, d->placement->embedding, r.demand,
+                                   load_)) {
           ++stats_.spec_commits;
           // Refresh the memo for later same-class arrivals of this slot.
-          GreedyMemo& m = greedy_memo_[class_key(r.app, r.ingress)];
-          m.epoch = load_.grow_epoch();
-          m.demand = r.demand;
-          m.feasible = true;
-          m.usage = d->usage;
-          m.embedding = d->embedding;
-          m.unit_cost = d->unit_cost;
-          return allocate(r, std::move(d->embedding), OutcomeKind::Greedy, -1,
-                          -1, {}, std::move(d->usage), d->unit_cost);
+          greedy_memo_[class_key(r.app, r.ingress)] = {
+              load_.grow_epoch(), r.demand, d->placement, d->unit_cost};
+          return allocate(r, std::move(d->placement), OutcomeKind::Greedy, -1,
+                          -1, {}, d->unit_cost);
         }
         ++stats_.spec_misses;
         break;
@@ -452,11 +459,11 @@ EmbedOutcome OliveEmbedder::embed(const workload::Request& r) {
 }
 
 EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
-  const int cls = plan_.class_index(r.app, r.ingress);
+  const int cls = plan_->class_index(r.app, r.ingress);
   const bool fast = options_.enable_fastpath;
 
   if (cls >= 0) {
-    const PlanClass& pc = plan_.cls(cls);
+    const PlanClass& pc = plan_->cls(cls);
     // class_max_[cls] is the exact max of the class's plan residuals, so a
     // stage whose per-column residual gate cannot pass is skipped wholesale.
     const double cmax = fast ? class_max_[cls] : 0.0;
@@ -470,8 +477,9 @@ EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
           continue;
         const PlanColumn& col = pc.columns[k];
         if (load_.fits(col.usage, r.demand)) {
-          return allocate(r, col.embedding, OutcomeKind::Planned, cls,
-                          static_cast<int>(k), {}, col.usage, col.unit_cost);
+          return allocate(r, column_placement(cls, static_cast<int>(k)),
+                          OutcomeKind::Planned, cls, static_cast<int>(k), {},
+                          col.unit_cost);
         }
       }
       if (options_.enable_preempt) {
@@ -481,9 +489,9 @@ EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
             continue;
           const PlanColumn& col = pc.columns[k];
           if (auto preempted = preempt(col.usage, r.demand)) {
-            return allocate(r, col.embedding, OutcomeKind::Planned, cls,
-                            static_cast<int>(k), std::move(*preempted),
-                            col.usage, col.unit_cost);
+            return allocate(r, column_placement(cls, static_cast<int>(k)),
+                            OutcomeKind::Planned, cls, static_cast<int>(k),
+                            std::move(*preempted), col.unit_cost);
           }
         }
       }
@@ -497,8 +505,9 @@ EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
           const PlanColumn& col = pc.columns[k];
           if (plan_residual(cls, static_cast<int>(k)) <= 1e-9) continue;
           if (load_.fits(col.usage, r.demand)) {
-            return allocate(r, col.embedding, OutcomeKind::Borrowed, cls,
-                            static_cast<int>(k), {}, col.usage, col.unit_cost);
+            return allocate(r, column_placement(cls, static_cast<int>(k)),
+                            OutcomeKind::Borrowed, cls, static_cast<int>(k),
+                            {}, col.unit_cost);
           }
         }
       } else {
@@ -521,40 +530,37 @@ EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
           // since the memo was taken, so an infeasible memo stays
           // infeasible, and a feasible one that still passes the greedy's
           // own residual tests is exactly what GREEDYEMBED would return.
-          if (!m.feasible) {
+          if (m.placement == nullptr) {
             ++stats_.greedy_memo_hits;
             return EmbedOutcome{};
           }
-          if (collocated_.still_fits(r.app, m.embedding, r.demand, load_)) {
+          if (collocated_.still_fits(r.app, m.placement->embedding, r.demand,
+                                     load_)) {
             ++stats_.greedy_memo_hits;
-            return allocate(r, m.embedding, OutcomeKind::Greedy, -1, -1, {},
-                            m.usage, m.unit_cost);
+            return allocate(r, m.placement, OutcomeKind::Greedy, -1, -1, {},
+                            m.unit_cost);
           }
         }
       }
       ++stats_.greedy_memo_misses;
       auto emb = collocated_.embed(r.app, r.ingress, r.demand, load_);
       GreedyMemo& m = greedy_memo_[key];
-      m.epoch = load_.grow_epoch();
-      m.demand = r.demand;
-      m.feasible = emb.has_value();
+      m = {load_.grow_epoch(), r.demand, nullptr, 0.0};
       if (emb) {
-        m.usage = net::unit_usage(substrate_, apps_[r.app].topology, *emb);
-        m.unit_cost = net::usage_cost(substrate_, m.usage);
-        m.embedding = *emb;
-        return allocate(r, std::move(*emb), OutcomeKind::Greedy, -1, -1, {},
-                        Usage(m.usage), m.unit_cost);
+        m.placement =
+            make_placement(substrate_, apps_[r.app].topology, std::move(*emb));
+        m.unit_cost = net::usage_cost(substrate_, m.placement->usage);
+        return allocate(r, m.placement, OutcomeKind::Greedy, -1, -1, {},
+                        m.unit_cost);
       }
-      m.usage.clear();
-      m.embedding = net::Embedding{};
-      m.unit_cost = 0;
     } else if (auto emb = greedy_collocated_embedding(
                    substrate_, apps_[r.app].topology, r.ingress, r.demand,
                    load_)) {
-      Usage usage = net::unit_usage(substrate_, apps_[r.app].topology, *emb);
-      const double uc = net::usage_cost(substrate_, usage);
-      return allocate(r, std::move(*emb), OutcomeKind::Greedy, -1, -1, {},
-                      std::move(usage), uc);
+      PlacementPtr placement =
+          make_placement(substrate_, apps_[r.app].topology, std::move(*emb));
+      const double uc = net::usage_cost(substrate_, placement->usage);
+      return allocate(r, std::move(placement), OutcomeKind::Greedy, -1, -1,
+                      {}, uc);
     }
   }
 
@@ -569,7 +575,7 @@ EmbedOutcome OliveEmbedder::embed_serial(const workload::Request& r) {
 // rebuilt on restore; the speculation buffers are transient by design.
 struct OliveEmbedder::Snapshot {
   LoadTracker load;
-  Plan plan;
+  std::shared_ptr<const Plan> plan;
   std::vector<std::vector<double>> plan_used;
   std::unordered_map<workload::RequestId, Active> active;
   std::int64_t admission_counter = 0;
@@ -598,21 +604,7 @@ bool OliveEmbedder::restore(const WorldState& w) {
   greedy_memo_ = snap.greedy_memo;
   stats_ = snap.stats;
   rebuild_class_max();
-  // Rebuild the preempt candidate index in ascending id order — a fixed
-  // order so two restores of the same snapshot produce byte-identical
-  // bucket layouts (the victim heap pops in key order whatever the layout,
-  // but determinism should not rest on unordered_map iteration).
-  elem_actives_.assign(substrate_.element_count(), {});
-  if (indexing()) {
-    std::vector<workload::RequestId> ids;
-    ids.reserve(active_.size());
-    for (const auto& [id, a] : active_)
-      if (!a.planned) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    for (const workload::RequestId id : ids) index_add(id, active_.at(id));
-  } else {
-    for (auto& [id, a] : active_) a.elem_pos.clear();
-  }
+  rebuild_index();
   // Any speculative batch was computed against the pre-restore state.
   spec_.clear();
   spec_cursor_ = 0;
@@ -641,12 +633,14 @@ bool OliveEmbedder::set_element_capacity(int element, double capacity) {
 std::optional<EmbedOutcome> OliveEmbedder::adopt(const workload::Request& r,
                                                  const net::Embedding& e) {
   OLIVE_REQUIRE(!active_.contains(r.id), "adopt of a still-active request");
-  Usage usage = net::unit_usage(substrate_, apps_[r.app].topology, e);
-  if (!load_.fits(usage, r.demand)) return std::nullopt;
-  const double uc = net::usage_cost(substrate_, usage);
+  PlacementPtr placement =
+      make_placement(substrate_, apps_[r.app].topology, e);
+  if (!load_.fits(placement->usage, r.demand)) return std::nullopt;
+  const double uc = net::usage_cost(substrate_, placement->usage);
   // Migrated allocations are ad-hoc: they hold no plan share and are
   // preemptible like any greedy embedding.
-  return allocate(r, e, OutcomeKind::Greedy, -1, -1, {}, std::move(usage), uc);
+  return allocate(r, std::move(placement), OutcomeKind::Greedy, -1, -1, {},
+                  uc);
 }
 
 std::vector<OliveEmbedder::ActiveAllocation>
@@ -654,7 +648,8 @@ OliveEmbedder::active_allocations() const {
   std::vector<ActiveAllocation> out;
   out.reserve(active_.size());
   for (const auto& [id, a] : active_)
-    out.push_back({id, a.app, a.demand, a.usage, a.embedding});
+    out.push_back(
+        {id, a.app, a.demand, a.placement->usage, a.placement->embedding});
   std::sort(out.begin(), out.end(),
             [](const auto& x, const auto& y) { return x.id < y.id; });
   return out;
@@ -663,8 +658,8 @@ OliveEmbedder::active_allocations() const {
 void OliveEmbedder::depart(const workload::Request& r) {
   const auto it = active_.find(r.id);
   if (it == active_.end()) return;  // rejected or preempted earlier
-  Active& a = it->second;
-  load_.release(a.usage, a.demand);
+  const Active& a = it->second;
+  load_.release(a.placement->usage, a.demand);
   if (a.planned) {
     plan_used_[a.cls][a.column] -= a.demand;
     refresh_class_max(a.cls);

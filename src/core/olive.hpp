@@ -19,11 +19,11 @@
 // provably bit-identical shortcuts —
 //   * a per-class running maximum of plan residuals skips whole PLANEMBED
 //     stages when no column can pass its residual gate;
-//   * a per-element reverse index of non-planned allocations, carrying each
-//     victim's sort key inline, replaces the full active-set scan inside
-//     preempt(); candidates above the churn cap are dropped at the gather
-//     and the rest pop lazily from a heap, so preempt() pays for the
-//     victims it reads, not for every borrower it could read;
+//   * a per-element reverse index of non-planned allocations, each bucket
+//     kept sorted by victim key, replaces the full active-set scan inside
+//     preempt(): the deficient elements' buckets merge lazily in key order
+//     and stop at the churn cap, so preempt() pays for the victims it
+//     reads, not for every borrower it could read;
 //   * GREEDYEMBED runs as a core::CollocatedSearch: per-application host
 //     tables built once, per-thread scratch, and a Dijkstra that stops as
 //     soon as no unsettled node can beat the best host found;
@@ -35,9 +35,14 @@
 //     after a monotonicity-based validation (recomputing on a miss).
 // Every shortcut preserves the exact decision (and embedding bytes) the
 // specification path would produce, at any thread count.
+//
+// Admissions copy no usage vector or embedding: a plan column is itself a
+// core::Placement, and the outcome, the ledger, the greedy memo and the
+// speculative batch share one placement by pointer.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 
@@ -95,19 +100,19 @@ class OliveEmbedder final : public OnlineEmbedder {
   std::optional<EmbedOutcome> adopt(const workload::Request& r,
                                     const net::Embedding& e) override;
 
-  /// World snapshots (core/world.hpp): the payload copies load_, plan_,
+  /// World snapshots (core/world.hpp): the payload copies load_,
   /// plan_used_, the active ledger, the admission counter, the greedy memo
-  /// and the fast-path counters; the derived indexes (class_max_,
-  /// elem_actives_) are rebuilt deterministically on restore, and any
-  /// in-flight speculative batch is dropped (it was computed against a
-  /// state the restored world never saw).  fork() reads only
-  /// construction-time state plus the snapshot, so it is safe while this
-  /// embedder keeps serving.
+  /// and the fast-path counters, and shares the plan and every placement;
+  /// the derived indexes (class_max_, elem_actives_) are rebuilt
+  /// deterministically on restore, and any in-flight speculative batch is
+  /// dropped (it was computed against a state the restored world never
+  /// saw).  fork() reads only construction-time state plus the snapshot,
+  /// so it is safe while this embedder keeps serving.
   WorldState snapshot() const override;
   bool restore(const WorldState& w) override;
   std::unique_ptr<OnlineEmbedder> fork(const WorldState& w) const override;
 
-  const Plan& plan() const noexcept { return plan_; }
+  const Plan& plan() const noexcept { return *plan_; }
 
   /// Residual planned demand of a plan column (Eq. 17), for tests.
   double plan_residual(int cls, int column) const;
@@ -125,12 +130,7 @@ class OliveEmbedder final : public OnlineEmbedder {
 
  private:
   struct Active {
-    Usage usage;
-    net::Embedding embedding;
-    /// Position of this allocation inside elem_actives_[usage[i].first],
-    /// parallel to `usage`.  Maintained only while the allocation is
-    /// indexed (non-planned, fast path on); empty otherwise.
-    std::vector<int> elem_pos;
+    PlacementPtr placement;
     int app = -1;
     double demand = 0;
     bool planned = false;
@@ -139,13 +139,22 @@ class OliveEmbedder final : public OnlineEmbedder {
   };
 
   /// One preempt-index entry: the allocation's victim-order key (demand
-  /// ascending, order descending) inline, so gathering candidates never
-  /// looks the allocation up in active_.
+  /// ascending, order descending) and its placement inline, so the victim
+  /// scan never looks the allocation up in active_.  The placement stays
+  /// valid while the entry is indexed: the ledger holds the owning pointer.
   struct IndexEntry {
     double demand = 0;
     std::int64_t order = 0;
     workload::RequestId id = -1;
+    const Placement* placement = nullptr;
   };
+
+  /// The victim order, a strict total order over distinct allocations
+  /// (orders are unique): smallest demand first, newest first among equals.
+  static bool victim_before(const IndexEntry& x, const IndexEntry& y) {
+    if (x.demand != y.demand) return x.demand < y.demand;
+    return x.order > y.order;
+  }
 
   /// Memoized GREEDYEMBED answer for one (app, ingress) class.  Valid for a
   /// later request iff the grow-epoch matches and its demand >= `demand`
@@ -154,9 +163,7 @@ class OliveEmbedder final : public OnlineEmbedder {
   struct GreedyMemo {
     std::uint64_t epoch = 0;
     double demand = 0;
-    bool feasible = false;
-    Usage usage;
-    net::Embedding embedding;
+    PlacementPtr placement;  ///< null: no feasible embedding
     double unit_cost = 0;
   };
 
@@ -174,20 +181,24 @@ class OliveEmbedder final : public OnlineEmbedder {
       Reject,
       Planned,   ///< plan column `column` of class `cls`, full fit
       Borrowed,  ///< plan column `column` of class `cls`, partial fit
-      Greedy,    ///< `embedding`/`usage`/`unit_cost` hold the result
+      Greedy,    ///< `placement`/`unit_cost` hold the result
     };
     Kind kind = Kind::Unset;
     workload::RequestId id = -1;
     int cls = -1, column = -1;
-    Usage usage;
-    net::Embedding embedding;
+    PlacementPtr placement;
     double unit_cost = 0;
   };
 
-  EmbedOutcome allocate(const workload::Request& r, net::Embedding e,
+  EmbedOutcome allocate(const workload::Request& r, PlacementPtr placement,
                         OutcomeKind kind, int cls, int column,
                         std::vector<workload::RequestId> preempted,
-                        Usage usage, double unit_cost);
+                        double unit_cost);
+
+  /// Plan column `column` of class `cls`, sharing ownership of the plan.
+  PlacementPtr column_placement(int cls, int column) const {
+    return {plan_, &plan_->cls(cls).columns[column]};
+  }
 
   /// The specification decision sequence (optionally consulting the greedy
   /// memo / class-max shortcuts) — everything of embed() except the
@@ -213,14 +224,23 @@ class OliveEmbedder final : public OnlineEmbedder {
 
   // --- fast-path index maintenance -------------------------------------
   bool indexing() const noexcept { return options_.enable_fastpath; }
-  void index_add(workload::RequestId id, Active& a);
-  void index_remove(workload::RequestId id, Active& a);
+  static IndexEntry index_entry(workload::RequestId id, const Active& a) {
+    return {a.demand, a.order, id, a.placement.get()};
+  }
+  /// Sorted insert / erase of every entry of one allocation.
+  void index_add(workload::RequestId id, const Active& a);
+  void index_remove(workload::RequestId id, const Active& a);
+  /// Rebuilds every bucket from the ledger's non-planned allocations.
+  void rebuild_index();
   void refresh_class_max(int cls);
   void rebuild_class_max();
 
   const net::SubstrateNetwork& substrate_;
   const std::vector<net::Application>& apps_;
-  Plan plan_;
+  /// Shared so that snapshots, forks and the placements of planned
+  /// allocations hold the plan without copying it; a replaced plan lives on
+  /// while one of its columns is still allocated.
+  std::shared_ptr<const Plan> plan_;
   std::string name_;
   OliveOptions options_;
   LoadTracker load_;
@@ -235,8 +255,8 @@ class OliveEmbedder final : public OnlineEmbedder {
   /// lets embed() skip whole PLANEMBED stages without touching a column.
   std::vector<double> class_max_;
   /// elem_actives_[element] = the *non-planned* actives whose usage
-  /// touches that element (the preempt candidate set), with O(1)
-  /// swap-remove via Active::elem_pos.
+  /// touches that element (the preempt candidate set), sorted by
+  /// victim_before.
   std::vector<std::vector<IndexEntry>> elem_actives_;
   std::unordered_map<long long, GreedyMemo> greedy_memo_;
 
@@ -250,7 +270,12 @@ class OliveEmbedder final : public OnlineEmbedder {
   // preempt() scratch (reused across calls, cleared on entry)
   std::vector<std::pair<int, double>> deficit_;
   std::vector<std::pair<workload::RequestId, const Active*>> candidates_;
-  std::vector<IndexEntry> victim_heap_;
+  struct Run {  ///< the unread rest of one deficient element's bucket
+    const IndexEntry* head;
+    const IndexEntry* end;
+  };
+  std::vector<Run> runs_;
+  std::vector<workload::RequestId> victims_;
 };
 
 }  // namespace olive::core

@@ -4,6 +4,13 @@
 
 namespace olive::core {
 
+PlacementPtr make_placement(const net::SubstrateNetwork& s,
+                            const net::VirtualNetwork& vn, net::Embedding e) {
+  Usage usage = net::unit_usage(s, vn, e);
+  return std::make_shared<const Placement>(
+      Placement{std::move(usage), std::move(e)});
+}
+
 double PlanClass::accepted_fraction() const {
   double total = 0;
   for (const auto& c : columns) total += c.fraction;

@@ -9,6 +9,7 @@
 // allocation books capacity on one of the class's columns (Eq. 17).
 #pragma once
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -18,9 +19,22 @@
 
 namespace olive::core {
 
-struct PlanColumn {
+/// One concrete embedding and its per-unit-demand element usage.  Built
+/// once and never changed: an accepted request's outcome, the embedder's
+/// ledger and its caches share one by pointer instead of each copying it,
+/// and a plan column is one.
+struct Placement {
+  Usage usage;  ///< per-unit-demand element usage of the embedding
   net::Embedding embedding;
-  Usage usage;          ///< per-unit-demand element usage of the embedding
+};
+
+using PlacementPtr = std::shared_ptr<const Placement>;
+
+/// A new placement for embedding `e` of `vn` on `s`.
+PlacementPtr make_placement(const net::SubstrateNetwork& s,
+                            const net::VirtualNetwork& vn, net::Embedding e);
+
+struct PlanColumn : Placement {
   double unit_cost = 0; ///< Σ usage·cost (resource cost per demand unit)
   double fraction = 0;  ///< f_k: share of the class demand planned here
   /// Planned capacity of this column in demand units: fraction · d(r̃).

@@ -295,8 +295,7 @@ void SlotLoop::apply_failure(FailureRecord& record) {
     // victims it did not see.
     OLIVE_ASSERT(out->preempted_ids.empty());
     lease.unit_cost = out->unit_cost;
-    lease.placement->usage = std::move(out->usage);
-    lease.placement->embedding = std::move(out->embedding);
+    lease.placement = std::move(out->placement);
     active_cost_ += lease.req.demand * lease.unit_cost;
     metrics_.migrations += 1;
     record.migrated += 1;
@@ -415,14 +414,12 @@ void SlotLoop::admit(const workload::Request* batch, std::size_t n,
       tally_.lost(r, t, /*preempted=*/false);
       continue;
     }
-    Lease lease{r, t, outcome.unit_cost, record, nullptr};
-    if (capacity_.dynamic()) {
-      // The observers above already saw the outcome; the repair path owns
-      // it from here.
-      lease.placement.reset(new Lease::Placement{
-          std::move(outcome.usage), std::move(outcome.embedding)});
-    }
-    active_.emplace(r.id, std::move(lease));
+    // The observers above already saw the outcome; under substrate
+    // dynamics the repair path shares its placement from here.
+    active_.emplace(r.id, Lease{r, t, outcome.unit_cost, record,
+                                capacity_.dynamic()
+                                    ? std::move(outcome.placement)
+                                    : nullptr});
     active_cost_ += r.demand * outcome.unit_cost;
     now.allocated += r.demand;
     end.allocated -= r.demand;

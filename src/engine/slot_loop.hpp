@@ -151,17 +151,13 @@ class SlotLoop {
 
  private:
   struct Lease {
-    /// What a failure repair needs; kept under substrate dynamics only, so
-    /// a plain run's leases stay small.
-    struct Placement {
-      core::Usage usage;
-      net::Embedding embedding;
-    };
     workload::Request req;
     std::int64_t slot = 0;  ///< admission slot (live arrivals saturate)
     double unit_cost = 0;
     std::size_t record = 0;  ///< index into metrics.records, if recording
-    std::unique_ptr<Placement> placement;
+    /// The outcome's placement, which a failure repair needs; kept under
+    /// substrate dynamics only (null otherwise).
+    core::PlacementPtr placement;
   };
   using Leases = std::unordered_map<workload::RequestId, Lease>;
 

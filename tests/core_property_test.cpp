@@ -296,7 +296,7 @@ TEST_P(FullGSweep, EmbeddingsValidAndWithinCapacity) {
     const auto out = algo.embed(r);
     if (out.accepted()) {
       EXPECT_GT(out.unit_cost, 0);
-      EXPECT_FALSE(out.usage.empty());
+      EXPECT_FALSE(out.placement->usage.empty());
     }
     EXPECT_GE(algo.load().min_residual(), -1e-6);
   }

@@ -481,7 +481,8 @@ TEST(EngineDryRun, ScoresACandidatePlanWithoutDisturbingTheLiveRun) {
     const core::EmbedOutcome a = replayed.embed(r);
     const core::EmbedOutcome b = replayed2.embed(r);
     EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(net::fingerprint64(a.embedding), net::fingerprint64(b.embedding));
+    EXPECT_EQ(a.placement ? net::fingerprint64(a.placement->embedding) : 0,
+              b.placement ? net::fingerprint64(b.placement->embedding) : 0);
   }
 
   // Unsupported embedders report so instead of lying with a zero score.

@@ -63,9 +63,15 @@ void expect_same_outcome(const EmbedOutcome& a, const EmbedOutcome& b,
                          const char* what) {
   EXPECT_EQ(a.kind, b.kind) << what;
   EXPECT_EQ(a.unit_cost, b.unit_cost) << what;
-  EXPECT_EQ(a.usage, b.usage) << what;
-  EXPECT_EQ(a.embedding.node_map, b.embedding.node_map) << what;
-  EXPECT_EQ(a.embedding.link_paths, b.embedding.link_paths) << what;
+  EXPECT_EQ(a.placement == nullptr, b.placement == nullptr) << what;
+  if (a.placement != nullptr && b.placement != nullptr) {
+    EXPECT_EQ(a.placement->usage, b.placement->usage) << what;
+    EXPECT_EQ(a.placement->embedding.node_map, b.placement->embedding.node_map)
+        << what;
+    EXPECT_EQ(a.placement->embedding.link_paths,
+              b.placement->embedding.link_paths)
+        << what;
+  }
   EXPECT_EQ(a.preempted_ids, b.preempted_ids) << what;
 }
 
@@ -122,7 +128,7 @@ TEST(GreedyMemo, ElementWiseCheckRejectsStaleEmbeddings) {
   const auto a = fast.embed(make_request(5, 2.0));
   const auto b = slow.embed(make_request(5, 2.0));
   expect_same_outcome(a, b, "spill to host B");
-  EXPECT_EQ(a.embedding.node_map[1], 2);  // hostB
+  EXPECT_EQ(a.placement->embedding.node_map[1], 2);  // hostB
   EXPECT_GT(fast.fastpath_stats().greedy_memo_hits, 0);
 }
 
@@ -134,12 +140,14 @@ TEST(GreedyMemo, CapacityRaiseInvalidates) {
   const auto apps = chain_app();
   OliveEmbedder algo(s, apps, Plan::empty());
 
-  EXPECT_EQ(algo.embed(make_request(1, 2.0)).embedding.node_map[1], 1);
-  EXPECT_EQ(algo.embed(make_request(2, 2.0)).embedding.node_map[1], 2);
+  EXPECT_EQ(algo.embed(make_request(1, 2.0)).placement->embedding.node_map[1],
+            1);
+  EXPECT_EQ(algo.embed(make_request(2, 2.0)).placement->embedding.node_map[1],
+            2);
   // Recovery/rescale: host A's element grows to 80 CU total.
   EXPECT_TRUE(algo.set_element_capacity(s.node_element(1), 80.0));
   const auto back = algo.embed(make_request(3, 2.0));
-  EXPECT_EQ(back.embedding.node_map[1], 1);
+  EXPECT_EQ(back.placement->embedding.node_map[1], 1);
   EXPECT_GE(algo.fastpath_stats().greedy_memo_invalidations, 1);
 }
 
@@ -237,7 +245,7 @@ TEST(PreemptIndex, MatchesFullScanVictimOrder) {
   EXPECT_EQ(a.kind, OutcomeKind::Planned);
   EXPECT_FALSE(a.preempted_ids.empty());
 
-  // Departing a survivor afterwards exercises index swap-remove/backpatch.
+  // Departing a survivor afterwards exercises the index's sorted erase.
   for (OliveEmbedder* algo : {&fast, &slow})
     for (int id = 1; id <= 3; ++id) algo->depart(make_request(id, 0.0, 2));
   const auto a2 = fast.embed(make_request(5, 4.0, 2));
@@ -248,7 +256,7 @@ TEST(PreemptIndex, MatchesFullScanVictimOrder) {
 TEST(PreemptIndex, OverCapBorrowerIsNeverAVictim) {
   // A borrower bigger than the planned arrival sits on the deficient host.
   // The specification reaches it in the victim scan and trips the churn
-  // guard; the fast path drops it at the gather and runs out of candidates.
+  // guard; the fast path's merge stops at it, as at the end of the runs.
   // Both must give the same outcome, and it is never preempted.
   const auto s = two_host_network(600, 1000, 10);
   const auto apps = chain_app();
@@ -264,7 +272,7 @@ TEST(PreemptIndex, OverCapBorrowerIsNeverAVictim) {
     for (const auto& [id, demand] : {std::pair{1, 25.0}, std::pair{2, 3.0}}) {
       const auto out = algo->embed(make_request(id, demand, 2));
       EXPECT_EQ(out.kind, OutcomeKind::Greedy);
-      EXPECT_EQ(out.embedding.node_map[1], 1);  // hostA
+      EXPECT_EQ(out.placement->embedding.node_map[1], 1);  // hostA
     }
   }
   // Demand 20 needs 400 CU of host A, 40 are free: preempting the demand-3
@@ -322,7 +330,7 @@ TEST(PreemptIndex, VictimOnTwoDeficientElementsIsPreemptedOnce) {
   }
   // A planned demand of 10 is 5 units short on both elements.
   int short_elements = 0;
-  for (const auto& [elem, amount] : borrowed.usage)
+  for (const auto& [elem, amount] : borrowed.placement->usage)
     short_elements += fast.load().residual(elem) < amount * 10.0 - 1e-9;
   EXPECT_EQ(short_elements, 2);
 
@@ -413,6 +421,136 @@ TEST(PreemptIndex, ForkedReplayScoresMatchSpecification) {
             std::bit_cast<std::uint64_t>(b.rejection_cost));
   EXPECT_EQ(a.accepted, b.accepted);
   EXPECT_EQ(a.rejected, b.rejected);
+}
+
+TEST(PreemptIndex, TiedDemandsDepartAndPreemptInSpecOrder) {
+  // Three borrowers of equal demand and a smaller one share host A.  The
+  // oldest of the tied ones departs: its index entry must go, not a newer
+  // one's with the same demand.  A guaranteed arrival then needs the
+  // smaller borrower and one of the two tied survivors: the newer one.
+  const auto s = two_host_network(400, 400, 10);
+  const auto apps = chain_app();
+  const Plan plan = one_class_plan(s, apps, 20.0);
+  OliveOptions off;
+  off.enable_fastpath = false;
+  OliveEmbedder fast(s, apps, plan);
+  OliveEmbedder slow(s, apps, plan, "OLIVE", off);
+
+  for (OliveEmbedder* algo : {&fast, &slow}) {
+    // Borrowers from the unplanned ingress 2, all on host A: demands 4, 4,
+    // 4, 3 (80/80/80/60 CU).
+    for (const auto& [id, demand] : {std::pair{1, 4.0}, std::pair{2, 4.0},
+                                     std::pair{3, 4.0}, std::pair{4, 3.0}}) {
+      const auto out = algo->embed(make_request(id, demand, 2));
+      EXPECT_EQ(out.kind, OutcomeKind::Greedy);
+      EXPECT_EQ(out.placement->embedding.node_map[1], 1);  // hostA
+    }
+    algo->depart(make_request(1, 4.0, 2));
+  }
+  // Demand 14 needs 280 CU of host A, 180 are free: the demand-3 borrower
+  // frees 60, and the newer tied survivor the remaining 40.
+  const auto a = fast.embed(make_request(5, 14.0, 0));
+  const auto b = slow.embed(make_request(5, 14.0, 0));
+  expect_same_outcome(a, b, "tied-demand victims");
+  EXPECT_EQ(a.kind, OutcomeKind::Planned);
+  EXPECT_EQ(a.preempted_ids, (std::vector<workload::RequestId>{4, 3}));
+}
+
+TEST(PreemptIndex, RestoredIndexPreemptsLikeTheLiveOne) {
+  // A restore rebuilds the sorted index from the ledger.  After a drifted
+  // stretch of arrivals, departures and preemptions, a fork of the live
+  // embedder must decide every later arrival exactly as the live one does,
+  // victims included, and both as the specification does.
+  ScenarioConfig cfg;
+  cfg.topology = "Iris";
+  cfg.utilization = 1.0;
+  cfg.drift = 1.5;
+  cfg.seed = 11;
+  cfg.trace.horizon = 560;
+  cfg.trace.plan_slots = 400;
+  cfg.trace.lambda_per_node = 2.0;
+  const Scenario sc = build_scenario(cfg);
+  const int base = sc.online.front().arrival;
+  constexpr int kFork = 60, kEnd = 160;
+
+  OliveOptions off;
+  off.enable_fastpath = false;
+  OliveEmbedder live(sc.substrate, sc.apps, sc.plan);
+  OliveEmbedder slow(sc.substrate, sc.apps, sc.plan, "OLIVE", off);
+  std::unique_ptr<OnlineEmbedder> forked;
+  std::vector<workload::Request> active;
+  std::size_t next = 0;
+  long probe_preempted = 0;
+  for (int t = 0; t < kEnd; ++t) {
+    if (t == kFork) {
+      forked = live.fork(live.snapshot());
+      ASSERT_NE(forked, nullptr);
+    }
+    std::erase_if(active, [&](const workload::Request& r) {
+      if (r.arrival - base + r.duration != t) return false;
+      live.depart(r);
+      slow.depart(r);
+      if (forked) forked->depart(r);
+      return true;
+    });
+    for (; next < sc.online.size() && sc.online[next].arrival - base == t;
+         ++next) {
+      const workload::Request& r = sc.online[next];
+      const EmbedOutcome out = live.embed(r);
+      expect_same_outcome(out, slow.embed(r), "live vs specification");
+      if (forked) {
+        expect_same_outcome(out, forked->embed(r), "live vs restored");
+        probe_preempted += static_cast<long>(out.preempted_ids.size());
+      }
+      if (out.accepted()) active.push_back(r);
+      std::erase_if(active, [&](const workload::Request& x) {
+        return std::find(out.preempted_ids.begin(), out.preempted_ids.end(),
+                         x.id) != out.preempted_ids.end();
+      });
+    }
+  }
+  EXPECT_GT(probe_preempted, 0);
+}
+
+TEST(SharedPlacement, PlannedAdmissionsShareTheColumnPlacement) {
+  // Planned admissions on one column hand out the column itself.  After a
+  // plan swap the reclassified borrower still reads its placement from the
+  // old plan, which lives on with it, and its departure empties the load.
+  const auto s = two_host_network(1000, 1000, 1000);
+  const auto apps = chain_app();
+  OliveOptions off;
+  off.enable_fastpath = false;
+  OliveEmbedder fast(s, apps, one_class_plan(s, apps, 10.0));
+  OliveEmbedder slow(s, apps, one_class_plan(s, apps, 10.0), "OLIVE", off);
+
+  for (OliveEmbedder* algo : {&fast, &slow}) {
+    EmbedOutcome a = algo->embed(make_request(1, 4.0));
+    const EmbedOutcome b = algo->embed(make_request(2, 4.0));
+    ASSERT_EQ(a.kind, OutcomeKind::Planned);
+    ASSERT_EQ(b.kind, OutcomeKind::Planned);
+    EXPECT_EQ(a.placement.get(), b.placement.get());
+    const auto& columns = algo->plan().cls(0).columns;
+    EXPECT_TRUE(std::any_of(columns.begin(), columns.end(),
+                            [&](const PlanColumn& col) {
+                              return a.placement.get() == &col;
+                            }));
+    const Placement kept = *a.placement;
+    a = EmbedOutcome{};
+    algo->depart(make_request(2, 4.0));
+
+    EXPECT_TRUE(algo->install_plan(one_class_plan(s, apps, 30.0)));
+    const auto live = algo->active_allocations();
+    ASSERT_EQ(live.size(), 1u);
+    EXPECT_EQ(live[0].id, 1);
+    EXPECT_EQ(live[0].usage, kept.usage);
+    EXPECT_EQ(live[0].embedding.node_map, kept.embedding.node_map);
+    EXPECT_EQ(live[0].embedding.link_paths, kept.embedding.link_paths);
+
+    algo->depart(make_request(1, 4.0));
+    EXPECT_TRUE(algo->active_allocations().empty());
+    for (int e = 0; e < s.element_count(); ++e)
+      EXPECT_EQ(algo->load().used(e), 0.0) << e;
+  }
 }
 
 TEST(Speculation, CommitsBatchAndRecoversFromConflicts) {

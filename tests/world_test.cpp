@@ -79,7 +79,8 @@ struct SlotLoop {
         const EmbedOutcome out = algo.embed(r);
         Decision d;
         d.kind = out.kind;
-        d.fingerprint = net::fingerprint64(out.embedding);
+        d.fingerprint =
+            out.placement ? net::fingerprint64(out.placement->embedding) : 0;
         d.unit_cost = out.unit_cost;
         d.preempted = out.preempted_ids;
         log.push_back(d);
